@@ -36,7 +36,6 @@ Status RunMorselPipeline(size_t total_rows, const PipelineConfig& config,
   if (total_rows == 0) return Status::OK();
 
   const int lanes = std::max(1, config.num_threads);
-  const size_t grain = std::max<size_t>(1, config.grain);
 
   // Lane scratch is created on the calling thread before the fan-out
   // (Arena is not thread-safe; each lane owns its arena exclusively once
@@ -47,7 +46,7 @@ Status RunMorselPipeline(size_t total_rows, const PipelineConfig& config,
   for (int i = 0; i < lanes; ++i) {
     auto lane = std::make_unique<PipelineLane>(i, config.resource,
                                                config.arena_pool);
-    Status s = lane->Reserve(grain);
+    Status s = lane->Reserve(kMorselGrain);
     if (!s.ok()) return s;
     lane_scratch.push_back(std::move(lane));
   }
@@ -82,44 +81,8 @@ Status RunMorselPipeline(size_t total_rows, const PipelineConfig& config,
     }
   };
 
-  if (!config.wave_controller) {
-    Status loop = ParallelFor(total_rows, grain, run_body, opts);
-    if (!loop.ok()) return loop;
-    return first_error;
-  }
-
-  // Adaptive path: dispatch wave_morsels morsels per lane, consult the
-  // controller, maybe re-grain, repeat. Between waves no worker is in
-  // flight, so growing the lane scratch (Reserve only ever grows) and
-  // changing `wave_grain` are single-threaded operations.
-  const size_t wave_morsels =
-      static_cast<size_t>(std::max(1, config.wave_morsels));
-  size_t wave_grain = grain;
-  size_t row = 0;
-  int wave = 0;
-  while (row < total_rows && !failed.load(std::memory_order_relaxed)) {
-    const size_t wave_rows =
-        std::min(total_rows - row,
-                 wave_grain * static_cast<size_t>(lanes) * wave_morsels);
-    const size_t base = row;
-    Status loop = ParallelFor(
-        wave_rows, wave_grain,
-        [&](Range morsel, int lane_id) {
-          run_body(Range{morsel.begin + base, morsel.end + base}, lane_id);
-        },
-        opts);
-    if (!loop.ok()) return loop;
-    row += wave_rows;
-    if (row >= total_rows) break;
-    const size_t next = config.wave_controller(++wave, wave_grain);
-    if (next != 0 && next != wave_grain) {
-      wave_grain = std::max<size_t>(1, next);
-      for (auto& lane : lane_scratch) {
-        Status s = lane->Reserve(wave_grain);
-        if (!s.ok()) return s;
-      }
-    }
-  }
+  Status loop = ParallelFor(total_rows, kMorselGrain, run_body, opts);
+  if (!loop.ok()) return loop;
   return first_error;
 }
 

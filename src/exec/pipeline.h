@@ -35,21 +35,15 @@ class ArenaPool;
 
 namespace sgxb::exec {
 
-/// \brief Mid-query re-decision hook (docs/adaptive.md): called between
-/// waves of an adaptive pipeline with the wave index just finished and
-/// the grain it ran at; returns the grain for the next wave (0 = keep).
-/// Runs on the dispatching thread with no workers in flight, so it may
-/// safely consult the obs registry and adjust shared knobs.
-using WaveController = std::function<size_t(int wave, size_t grain)>;
+/// \brief Rows per morsel. The lane scratch (two selection vectors + a
+/// tuple staging buffer, 24 bytes/row) is sized to this, so the working
+/// set of one morsel stays cache-resident: 32 Ki rows = 768 KiB.
+inline constexpr size_t kMorselGrain = 32 * 1024;
 
 struct PipelineConfig {
   /// Span / phase label ("q3.scan_orders", ...). Must outlive the run.
   const char* name = "pipeline";
   int num_threads = 1;
-  /// Rows per morsel. The lane scratch (two selection vectors + a tuple
-  /// staging buffer, 24 bytes/row) is sized to this, so the working set
-  /// of one morsel stays cache-resident: 32 Ki rows = 768 KiB.
-  size_t grain = 32 * 1024;
   /// Wrap each lane's whole morsel loop in an sgx::ScopedEcall (one
   /// enclave entry per lane, as on hardware).
   bool enclave_lanes = false;
@@ -57,16 +51,6 @@ struct PipelineConfig {
   /// the chunks are recycled across pipelines and queries.
   mem::MemoryResource* resource = nullptr;
   mem::ArenaPool* arena_pool = nullptr;
-  /// When set, the pipeline runs as a sequence of *waves* of
-  /// `wave_morsels` morsels per lane, invoking the controller at every
-  /// wave boundary so the morsel grain (and any knobs the controller
-  /// owns, e.g. live probe mode) can change mid-query without
-  /// invalidating results. Unset (the default) keeps the historical
-  /// single parallel loop — bit-for-bit identical scheduling.
-  WaveController wave_controller;
-  /// Morsels per lane per wave; small enough to re-decide promptly,
-  /// large enough that a wave amortizes its gang dispatch.
-  int wave_morsels = 4;
 };
 
 /// \brief Worker-local scratch for one pipeline lane: a double-buffered
@@ -120,7 +104,7 @@ class PipelineLane {
 /// and is returned from RunMorselPipeline.
 using MorselBody = std::function<Status(Range morsel, PipelineLane& lane)>;
 
-/// \brief Runs one pipeline: splits [0, total_rows) into grain-sized
+/// \brief Runs one pipeline: splits [0, total_rows) into kMorselGrain-row
 /// morsels scheduled over the work-stealing executor, with per-lane
 /// arena-backed scratch and (optionally) one ScopedEcall per lane. Emits
 /// a trace span for the pipeline and, when tracing, one per morsel.

@@ -82,11 +82,9 @@ uint64_t MetricsSnapshot::CounterOr(const std::string& name,
   return it != counters.end() ? it->second : fallback;
 }
 
-namespace {
-
-void AppendJsonString(std::string& out, const std::string& s) {
+void AppendJsonString(std::string& out, std::string_view s) {
   out += '"';
-  for (char c : s) {
+  for (const char c : s) {
     switch (c) {
       case '"':
         out += "\\\"";
@@ -97,14 +95,25 @@ void AppendJsonString(std::string& out, const std::string& s) {
       case '\n':
         out += "\\n";
         break;
+      case '\r':
+        out += "\\r";
+        break;
+      case '\t':
+        out += "\\t";
+        break;
       default:
-        out += c;
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;
+        }
     }
   }
   out += '"';
 }
-
-}  // namespace
 
 std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n  \"counters\": {";

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace sgxb::obs {
@@ -175,6 +176,12 @@ struct MetricsSnapshot {
   std::string ToCsv() const;
 };
 
+/// \brief Appends `s` to `out` as a quoted JSON string: `"` and `\` are
+/// backslash-escaped and every byte below 0x20 becomes \n, \r, \t or
+/// \u00XX. The one escaper behind every JSON writer in obs (registry
+/// dumps, chrome traces, query reports).
+void AppendJsonString(std::string& out, std::string_view s);
+
 /// \brief Process-wide name -> metric registry. Get* registers on first
 /// use and returns the same stable pointer forever after; the intended
 /// call-site pattern caches it in a function-local static:
@@ -287,17 +294,6 @@ inline constexpr char kCtrTxnVersionsRetired[] = "txn.versions_retired";
 inline constexpr char kCtrTxnVersionsReclaimed[] = "txn.versions_reclaimed";
 inline constexpr char kCtrTxnCowBytes[] = "txn.cow_bytes";
 inline constexpr char kCtrTxnReclaimedBytes[] = "txn.reclaimed_bytes";
-// Hash-probe traffic of the fused pipelines (plan/fused.cc): staged
-// probe tuples vs matches produced. Their ratio is the probe hit rate
-// the adaptive controller (src/tune/) reads per feedback frame.
-inline constexpr char kCtrProbeTuples[] = "tpch.probe_tuples";
-inline constexpr char kCtrProbeMatches[] = "tpch.probe_matches";
-// Adaptive self-tuning controller (src/tune/, docs/adaptive.md):
-// per-query knob decisions, mid-query guardrail switches, and tuning-
-// cache exploitation hits.
-inline constexpr char kCtrTuneDecisions[] = "tune.decisions";
-inline constexpr char kCtrTuneSwitches[] = "tune.switches";
-inline constexpr char kCtrTuneCacheHits[] = "tune.cache_hits";
 inline constexpr char kHistMutexParkNs[] = "sgx.mutex_park_ns";
 inline constexpr char kHistTxnCommitNs[] = "txn.commit_ns";
 inline constexpr char kHistEdmmCommitNs[] = "sgx.edmm_commit_ns";

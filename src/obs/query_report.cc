@@ -14,7 +14,8 @@ double QueryReport::PoolHitRate() const {
 }
 
 std::string QueryReport::ToJson() const {
-  std::string out = "{\"query\": \"" + query + "\"";
+  std::string out = "{\"query\": ";
+  AppendJsonString(out, query);
   char buf[64];
   std::snprintf(buf, sizeof(buf), ", \"wall_ns\": %.0f", wall_ns);
   out += buf;
@@ -55,23 +56,13 @@ std::string QueryReport::ToJson() const {
   std::snprintf(buf, sizeof(buf), ", \"pool_hit_rate\": %.4f",
                 PoolHitRate());
   out += buf;
-  if (tuning.active) {
-    out += ", \"tuning\": {\"fused\": ";
-    out += tuning.fused ? "true" : "false";
-    out += ", \"probe_mode\": \"" + tuning.probe_mode + "\"";
-    out += ", \"probe_batch\": " + std::to_string(tuning.probe_batch);
-    out += ", \"morsel_grain\": " + std::to_string(tuning.morsel_grain);
-    out += ", \"source\": \"" + tuning.source + "\"";
-    out += ", \"decisions\": " + std::to_string(tuning.decisions);
-    out += ", \"switches\": " + std::to_string(tuning.switches);
-    out += ", \"cache_hits\": " + std::to_string(tuning.cache_hits);
-    out += "}";
-  }
   out += ", \"phases\": [";
   for (size_t i = 0; i < phases.size(); ++i) {
     if (i > 0) out += ", ";
-    std::snprintf(buf, sizeof(buf), "\": %.0f}", phases[i].host_ns);
-    out += "{\"" + phases[i].name + buf;
+    out += '{';
+    AppendJsonString(out, phases[i].name);
+    std::snprintf(buf, sizeof(buf), ": %.0f}", phases[i].host_ns);
+    out += buf;
   }
   out += "]}";
   return out;
@@ -139,19 +130,6 @@ std::string QueryReport::ToString() const {
                   static_cast<unsigned long long>(txn_versions_retired),
                   static_cast<unsigned long long>(txn_cow_bytes),
                   static_cast<unsigned long long>(txn_reclaimed_bytes));
-    out += buf;
-  }
-  if (tuning.active) {
-    std::snprintf(buf, sizeof(buf),
-                  "  tuning: %s probe=%s x%d grain=%llu (%s), "
-                  "%llu decisions, %llu switches, %llu cache hits\n",
-                  tuning.fused ? "fused" : "materializing",
-                  tuning.probe_mode.c_str(), tuning.probe_batch,
-                  static_cast<unsigned long long>(tuning.morsel_grain),
-                  tuning.source.c_str(),
-                  static_cast<unsigned long long>(tuning.decisions),
-                  static_cast<unsigned long long>(tuning.switches),
-                  static_cast<unsigned long long>(tuning.cache_hits));
     out += buf;
   }
   return out;

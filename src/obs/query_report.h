@@ -38,26 +38,6 @@ struct PhaseTiming {
   double host_ns = 0;
 };
 
-/// \brief What the adaptive controller (src/tune/, docs/adaptive.md)
-/// picked for one query: the final knob values, where they came from,
-/// and how much the controller intervened. Only meaningful (and only
-/// rendered by ToJson/ToString) when `active` — with SGXBENCH_ADAPTIVE
-/// off the report output is byte-identical to the pre-tuning layout.
-struct TuningReport {
-  bool active = false;
-  bool fused = false;
-  std::string probe_mode;     ///< exec::ProbeModeToString form
-  int probe_batch = 0;
-  uint64_t morsel_grain = 0;
-  /// Where the chosen setting came from: "prior" (cost model, first
-  /// sighting), "explore" (trying a candidate arm), or "cache"
-  /// (converged learned setting).
-  std::string source;
-  uint64_t decisions = 0;   ///< knob decisions made for this query
-  uint64_t switches = 0;    ///< mid-query guardrail switches taken
-  uint64_t cache_hits = 0;  ///< decisions served from the tuning cache
-};
-
 /// \brief Everything the observability layer knows about one query
 /// execution. All counts are deltas over the query's window.
 struct QueryReport {
@@ -117,11 +97,6 @@ struct QueryReport {
   uint64_t txn_versions_reclaimed = 0;
   uint64_t txn_cow_bytes = 0;
   uint64_t txn_reclaimed_bytes = 0;
-
-  /// \brief Adaptive-controller picks for this query (tuning.active is
-  /// false — and the section is omitted from both renderings — unless
-  /// SGXBENCH_ADAPTIVE drove the execution).
-  TuningReport tuning;
 
   /// \brief pool_hits / (pool_hits + pool_misses), or 0 with no traffic.
   double PoolHitRate() const;

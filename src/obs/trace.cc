@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/env.h"
+#include "obs/metrics.h"
 
 namespace sgxb::obs {
 
@@ -119,13 +120,6 @@ const char* InternName(const std::string& name) {
 
 namespace {
 
-void AppendEscaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    if (*s == '"' || *s == '\\') out += '\\';
-    out += *s;
-  }
-}
-
 // One trace event in chrome trace-event format. Durations below one
 // microsecond are emitted with fractional-us precision so short spans
 // (transitions) stay visible.
@@ -133,19 +127,19 @@ void AppendEvent(std::string& out, const internal::TraceEvent& e, int tid,
                  double ns_per_cycle) {
   const double ts_us = static_cast<double>(e.begin_tsc) * ns_per_cycle / 1e3;
   char buf[96];
-  out += "{\"name\":\"";
-  AppendEscaped(out, e.name);
-  out += "\",\"cat\":\"";
-  AppendEscaped(out, e.category);
+  out += "{\"name\":";
+  AppendJsonString(out, e.name);
+  out += ",\"cat\":";
+  AppendJsonString(out, e.category);
   if (e.end_tsc == e.begin_tsc) {
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f", ts_us);
+    std::snprintf(buf, sizeof(buf), ",\"ph\":\"i\",\"s\":\"t\",\"ts\":%.3f",
+                  ts_us);
     out += buf;
   } else {
     const double dur_us =
         static_cast<double>(e.end_tsc - e.begin_tsc) * ns_per_cycle / 1e3;
-    std::snprintf(buf, sizeof(buf),
-                  "\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f", ts_us, dur_us);
+    std::snprintf(buf, sizeof(buf), ",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f",
+                  ts_us, dur_us);
     out += buf;
   }
   std::snprintf(buf, sizeof(buf), ",\"pid\":1,\"tid\":%d}", tid);

@@ -16,12 +16,10 @@
 #include "exec/probe_pipeline.h"
 #include "join/hash_table.h"
 #include "join/join_common.h"
-#include "obs/metrics.h"
 #include "plan/planner.h"
 #include "scan/scan_kernels.h"
 #include "storage/column_view.h"
 #include "tpch/operators.h"
-#include "tune/tune.h"
 
 namespace sgxb::plan {
 
@@ -128,7 +126,7 @@ void ProbeStaged(const BucketChainTable& table, const Tuple* staged,
 }
 
 Result<double> RunPipe(const std::string& span_name, size_t total,
-                       const QueryConfig& config, tune::QueryTuner* tuner,
+                       const QueryConfig& config,
                        const exec::MorselBody& body) {
   exec::PipelineConfig pc;
   pc.name = span_name.c_str();
@@ -136,30 +134,10 @@ Result<double> RunPipe(const std::string& span_name, size_t total,
   pc.enclave_lanes = config.setting != ExecutionSetting::kPlainCpu;
   pc.resource = tpch::EffectiveResource(config);
   pc.arena_pool = config.arena_pool;
-  if (tuner != nullptr) {
-    // Adaptive: start at the tuner's grain and let its wave controller
-    // re-grain between waves. Without a tuner the pipeline keeps the
-    // single historical parallel loop.
-    pc.grain = tuner->chosen().morsel_grain;
-    pc.wave_controller = tuner->MakeWaveController();
-  }
   WallTimer timer;
   Status s = exec::RunMorselPipeline(total, pc, body);
   if (!s.ok()) return s;
   return static_cast<double>(timer.ElapsedNanos());
-}
-
-// Fused-probe traffic counters, read back per feedback frame by the
-// adaptive controller (obs/feedback.h).
-obs::Counter* CtrProbeTuples() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter(obs::kCtrProbeTuples);
-  return c;
-}
-obs::Counter* CtrProbeMatches() {
-  static obs::Counter* c =
-      obs::Registry::Global().GetCounter(obs::kCtrProbeMatches);
-  return c;
 }
 
 perf::AccessProfile PipeProfile(size_t seq_read_bytes, size_t rows,
@@ -207,7 +185,6 @@ class FusedExec {
         mode_(dec.probe_mode),
         width_(dec.probe_batch),
         batched_(dec.probe_mode != exec::ProbeMode::kTupleAtATime),
-        tuner_(dec.tuner),
         kernel_(scan::PickRowIdKernel(SimdLevel::kAvx512)),
         tables_(plan.nodes().size()) {
     prefix_ = plan.name();
@@ -257,7 +234,6 @@ class FusedExec {
   const exec::ProbeMode mode_;
   const int width_;
   const bool batched_;
-  tune::QueryTuner* const tuner_;
   const scan::RowIdKernel kernel_;
   std::vector<FusedTable> tables_;
   std::string prefix_;
@@ -349,7 +325,7 @@ Status FusedExec::DriveScan(int id, const std::string& name,
   const PlanNode& n = plan_.node(id);
   const size_t total = TableRows(db_, n.table);
   std::atomic<uint64_t> sel_rows{0};
-  auto ns = RunPipe(name, total, config_, tuner_,
+  auto ns = RunPipe(name, total, config_,
                     [&](Range r, exec::PipelineLane& lane) -> Status {
                       auto k = ApplyPreds(n, r, lane);
                       if (!k.ok()) return k.status();
@@ -378,7 +354,7 @@ Status FusedExec::DriveJoin(int id, const std::string& name,
   const ColumnView<uint32_t> pkey = U32Column(db_, n.probe_key);
   std::atomic<uint64_t> sel_rows{0};
   auto ns = RunPipe(
-      name, total, config_, tuner_,
+      name, total, config_,
       [&](Range r, exec::PipelineLane& lane) -> Status {
         auto filtered = ApplyPreds(probe_scan, r, lane);
         if (!filtered.ok()) return filtered.status();
@@ -389,32 +365,20 @@ Status FusedExec::DriveJoin(int id, const std::string& name,
         uint64_t* out = lane.sel_out();
         const size_t cap = lane.capacity();
         size_t m = 0;
-        size_t matched = 0;
         Status sink_status = Status::OK();
         auto on_match = [&](const Tuple&, const Tuple& probe) {
           out[m++] = probe.payload;
-          ++matched;
           if (m == cap) {
             Status s = sink(lane, out, m);
             if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
             m = 0;
           }
         };
-        // Re-read the knobs per morsel: with a tuner, a mid-query
-        // guardrail switch takes effect at the next morsel boundary
-        // (same matches either way — only the load schedule changes).
-        const exec::ProbeMode mode =
-            tuner_ != nullptr ? tuner_->live().Mode() : mode_;
-        const int width = tuner_ != nullptr
-                              ? exec::ClampProbeWidth(tuner_->live().Batch())
-                              : width_;
-        ProbeStaged(tbl.table, lane.stage(), k, mode, width, on_match);
+        ProbeStaged(tbl.table, lane.stage(), k, mode_, width_, on_match);
         if (m > 0) {
           Status s = sink(lane, out, m);
           if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
         }
-        if (k > 0) CtrProbeTuples()->Add(k);
-        if (matched > 0) CtrProbeMatches()->Add(matched);
         sel_rows.fetch_add(k, std::memory_order_relaxed);
         SGXB_RETURN_NOT_OK(sink_status);
         return pkey_r.status();

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <memory>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -18,7 +17,6 @@
 #include "obs/trace.h"
 #include "perf/cost_model.h"
 #include "tpch/operators.h"
-#include "tune/tune.h"
 
 namespace sgxb::plan {
 
@@ -261,8 +259,6 @@ void EstimateModeCosts(const Plan& plan, const tpch::TpchDbView& db,
 
 }  // namespace
 
-bool PlannerEnabled() { return EnvBool("SGXBENCH_PLANNER", true); }
-
 bool FusedLowerable(const Plan& plan) {
   if (!plan.valid()) return false;
   for (const PlanNode& n : plan.nodes()) {
@@ -294,7 +290,6 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
 
   EstimateRows(plan, db, plan.root(), &d.est_rows);
 
-  const bool planner_on = PlannerEnabled();
   const bool batched = d.probe_mode != exec::ProbeMode::kTupleAtATime;
   const std::optional<join::JoinAlgorithm> forced = ForcedJoinAlgo();
   const perf::CostModel& model = perf::CostModel::Reference();
@@ -309,26 +304,19 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
       choice.algo = *forced;
       choice.cost_ns = model.EstimateNanos(
           JoinProfile(choice.algo, build_rows, probe_rows, batched), env);
-    } else if (planner_on) {
+    } else {
       const join::JoinAlgorithm candidates[] = {join::JoinAlgorithm::kRho,
                                                 join::JoinAlgorithm::kPht,
                                                 join::JoinAlgorithm::kCht};
-      double best = 0;
       for (join::JoinAlgorithm algo : candidates) {
         const double cost = model.EstimateNanos(
             JoinProfile(algo, build_rows, probe_rows, batched), env);
-        if (choice.cost_ns == 0 || cost < best) {
-          if (choice.cost_ns != 0 && cost >= best) continue;
+        if (choice.cost_ns == 0 || cost < choice.cost_ns) {
           choice.algo = algo;
-          best = cost;
           choice.cost_ns = cost;
         }
       }
       choice.cost_based = true;
-    } else {
-      choice.algo = join::JoinAlgorithm::kRho;
-      choice.cost_ns = model.EstimateNanos(
-          JoinProfile(choice.algo, build_rows, probe_rows, batched), env);
     }
   }
 
@@ -336,19 +324,16 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
 
   // Execution mode: explicit config wins, then SGXBENCH_PIPELINE if the
   // user set it (a malformed value warns once and is treated as unset),
-  // then the cost model (planner on), else the paper's materializing
-  // default. Plans the fused lowering cannot drive (a join probing a
-  // non-scan) always materialize.
+  // then the cost model. Plans the fused lowering cannot drive (a join
+  // probing a non-scan) always materialize.
   const std::optional<bool> forced_mode = config.pipeline.has_value()
                                               ? config.pipeline
                                               : EnvBoolOpt("SGXBENCH_PIPELINE");
   if (forced_mode.has_value()) {
     d.fused = *forced_mode;
-  } else if (planner_on && FusedLowerable(plan)) {
+  } else if (FusedLowerable(plan)) {
     d.fused = d.fused_cost_ns < d.materializing_cost_ns;
     d.mode_cost_based = true;
-  } else {
-    d.fused = false;
   }
   if (d.fused && !FusedLowerable(plan)) d.fused = false;
   return d;
@@ -744,97 +729,25 @@ Result<QueryResult> ExecuteMaterializing(const Plan& plan,
   return exec.Run();
 }
 
-namespace {
-
-// The adaptive controller never overrides a knob the user forced: the
-// tuner's pick applies only where config and environment are silent, so
-// SGXBENCH_PIPELINE / SGXBENCH_PROBE_MODE ablations still pin exactly
-// what they always pinned.
-std::unique_ptr<tune::QueryTuner> MakeTuner(const Plan& plan,
-                                            const tpch::TpchDbView& db,
-                                            const QueryConfig& config,
-                                            PlanDecisions* d) {
-  tune::WorkloadKey key;
-  key.query = plan.name();
-  uint64_t max_rows = 0;
-  for (const PlanNode& n : plan.nodes()) {
-    if (n.kind == PlanNode::Kind::kScan) {
-      max_rows = std::max<uint64_t>(max_rows, TableRows(db, n.table));
-    }
-  }
-  key.sf_bucket = tune::SfBucket(max_rows);
-  key.concurrency_band = tune::ConcurrencyBand(
-      std::max(tune::InflightQueries(), 1));
-
-  tune::KnobSetting prior;
-  prior.fused = d->fused;
-  prior.probe_mode = d->probe_mode;
-  prior.probe_batch = d->probe_batch;
-
-  auto tuner = std::make_unique<tune::QueryTuner>(
-      key, prior, obs::CurrentMetricDomain());
-  const tune::KnobSetting& pick = tuner->chosen();
-
-  const bool mode_forced = config.pipeline.has_value() ||
-                           EnvBoolOpt("SGXBENCH_PIPELINE").has_value();
-  if (!mode_forced && (!pick.fused || FusedLowerable(plan))) {
-    if (d->fused != pick.fused) d->mode_cost_based = false;
-    d->fused = pick.fused;
-  }
-  const bool probe_forced = config.probe_mode.has_value() ||
-                            EnvString("SGXBENCH_PROBE_MODE").has_value();
-  if (!probe_forced) d->probe_mode = pick.probe_mode;
-  if (config.probe_batch <= 0 && !EnvString("SGXBENCH_PROBE_BATCH") &&
-      !EnvString("SGXBENCH_PROBE_DIST")) {
-    d->probe_batch = exec::ClampProbeWidth(pick.probe_batch);
-  }
-  d->tuner = tuner.get();
-  return tuner;
-}
-
-}  // namespace
-
 Result<QueryResult> ExecutePlan(const Plan& plan,
                                 const tpch::TpchDbView& db,
                                 const QueryConfig& config) {
   if (!plan.valid()) {
     return Status::InvalidArgument("cannot execute an invalid plan");
   }
-  PlanDecisions decisions = DecideFor(plan, db, config);
-  std::unique_ptr<tune::QueryTuner> tuner;
-  if (tune::AdaptiveEnabled()) {
-    tuner = MakeTuner(plan, db, config, &decisions);
-  }
+  const PlanDecisions decisions = DecideFor(plan, db, config);
   std::string explain;
   if (EnvBool("SGXBENCH_EXPLAIN", false)) {
     explain = Explain(plan, decisions);
-    if (tuner) {
-      explain += "tune: " + tuner->chosen().Key() + " (" +
-                 tuner->source() + ")\n";
-    }
     std::fprintf(stderr, "%s", explain.c_str());
     if (obs::TracingEnabled()) {
       obs::TraceInstant(obs::InternName("explain." + plan.name()), "plan");
     }
   }
-  WallTimer wall;
   Result<QueryResult> result =
       decisions.fused ? ExecuteFused(plan, db, config, decisions)
                       : ExecuteMaterializing(plan, db, config, decisions);
   if (!result.ok()) return result;
-  if (tuner) {
-    tuner->Finish(static_cast<double>(wall.ElapsedNanos()));
-    obs::TuningReport& t = result.value().tuning;
-    t.active = true;
-    t.fused = decisions.fused;
-    t.probe_mode = exec::ProbeModeToString(decisions.probe_mode);
-    t.probe_batch = decisions.probe_batch;
-    t.morsel_grain = tuner->chosen().morsel_grain;
-    t.source = tuner->source();
-    t.decisions = tuner->decisions();
-    t.switches = tuner->switches();
-    t.cache_hits = tuner->cache_hits();
-  }
   result.value().explain = std::move(explain);
   return result;
 }

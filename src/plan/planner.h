@@ -22,10 +22,6 @@
 #include "plan/plan.h"
 #include "tpch/queries.h"
 
-namespace sgxb::tune {
-class QueryTuner;
-}
-
 namespace sgxb::plan {
 
 /// \brief Per-join-node lowering decision.
@@ -55,18 +51,7 @@ struct PlanDecisions {
   std::vector<double> est_rows;
   /// Join flavour decision per node (meaningful at kJoin nodes).
   std::vector<JoinChoice> joins;
-  /// Set by ExecutePlan when SGXBENCH_ADAPTIVE is on: the query's
-  /// adaptive controller (src/tune/). The fused lowering reads its live
-  /// knobs per morsel and attaches its wave controller; null (the
-  /// default) keeps the static behaviour bit-for-bit.
-  tune::QueryTuner* tuner = nullptr;
 };
-
-/// \brief True when the planner itself (cost-based mode and flavour
-/// choice) is enabled: SGXBENCH_PLANNER, default on. Off = the legacy
-/// behaviour (materializing unless the pipeline knob says otherwise; all
-/// joins RHO).
-bool PlannerEnabled();
 
 /// \brief Computes every lowering decision for `plan` bound to `db`
 /// under `config`. Deterministic; does not execute anything.

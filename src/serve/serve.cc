@@ -8,7 +8,6 @@
 #include "mem/arena_pool.h"
 #include "obs/metrics.h"
 #include "obs/query_report.h"
-#include "tune/tune.h"
 
 namespace sgxb::serve {
 
@@ -174,10 +173,6 @@ void QueryServer::Execute(AdmissionQueue::Ticket ticket) {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.inflight;
   }
-  // Publish the in-flight count to the adaptive controller: the tuning
-  // cache keys its learned settings on the concurrency band, so the same
-  // query converges separately for solo and saturated serving.
-  tune::AddInflight(1);
 
   exec::Executor& ex = exec::Executor::Default();
   obs::Registry& registry = obs::Registry::Global();
@@ -252,7 +247,6 @@ void QueryServer::Execute(AdmissionQueue::Ticket ticket) {
   } else {
     response.status = result.status();
   }
-  tune::AddInflight(-1);
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     --stats_.inflight;

@@ -48,7 +48,8 @@ struct QueryConfig {
   /// Fused, morsel-driven execution (docs/pipelines.md): run each query
   /// as a short DAG of pipelines with per-morsel selection vectors
   /// instead of the paper's operator-at-a-time materialization. Unset =
-  /// SGXBENCH_PIPELINE (default off, preserving the paper's semantics).
+  /// SGXBENCH_PIPELINE if present, else the planner's cost model picks
+  /// the mode per plan (docs/planner.md).
   std::optional<bool> pipeline;
   /// Metrics attribution domain for this query's report (see
   /// Registry::AcquireDomain in obs/metrics.h); -1 = unattributed, the

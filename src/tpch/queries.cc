@@ -54,7 +54,6 @@ Result<QueryResult> ReportedPlan(const plan::Plan& plan,
     phases.push_back(obs::PhaseTiming{s.name, s.host_ns});
   }
   result.value().report = scope.Finish(std::move(phases));
-  result.value().report.tuning = result.value().tuning;
   return result;
 }
 

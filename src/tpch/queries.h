@@ -1,9 +1,15 @@
-// Simplified TPC-H queries 3, 10, 12, and 19 (paper Section 6).
+// Simplified TPC-H queries 3, 10, 12, and 19 (paper Section 6), plus the
+// extension queries of the plan catalog (plan/catalog.h).
 //
 // Following the paper's setup: only scans and joins remain, the final
-// aggregation is count(*), dates and categorical strings are integers, and
-// every operator fully materializes its output (no pipelining). All joins
-// use the (optionally SGXv2-optimized) RHO join.
+// aggregation is count(*), and dates and categorical strings are
+// integers. Every entry point runs its catalog plan through the planner
+// (plan/planner.h), which picks the lowering (materializing operators or
+// fused pipelines) and each join's flavour (RHO / PHT / CHT) from
+// explicit config, then the SGXBENCH_* force knobs, then the cost model.
+// The paper's own setup — fully materializing, every join RHO — is what
+// bench_fig17_tpch forces through plan::DecideFor and
+// plan::ExecuteMaterializing.
 
 #ifndef SGXB_TPCH_QUERIES_H_
 #define SGXB_TPCH_QUERIES_H_
@@ -35,11 +41,6 @@ struct QueryResult {
   /// probe mode / estimated costs). Filled only when SGXBENCH_EXPLAIN is
   /// set; empty otherwise.
   std::string explain;
-  /// The adaptive controller's picks for this execution (filled by
-  /// ExecutePlan only when SGXBENCH_ADAPTIVE is on; `active` stays false
-  /// otherwise and the report renders without it). RunQuery copies it
-  /// into `report.tuning`.
-  obs::TuningReport tuning;
 };
 
 // Every entry point has a TpchDbView overload: the view's columns may be

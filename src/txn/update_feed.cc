@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
+#include <vector>
 
 #include "common/env.h"
 #include "common/random.h"
@@ -13,11 +13,6 @@
 namespace sgxb::txn {
 
 namespace {
-
-/// \brief Log2 bucket of a latency sample, like obs::Histogram.
-int Bucket(uint64_t ns) {
-  return ns == 0 ? 0 : 63 - __builtin_clzll(ns);
-}
 
 uint64_t ScrambleRow(uint64_t key, uint64_t n) {
   // Fibonacci hashing: repeated draws of a hot Zipf key stay hot, but
@@ -41,12 +36,12 @@ UpdateFeedOptions UpdateFeedOptions::FromEnv() {
 struct UpdateFeed::Writer {
   int index = 0;
   double rows_per_sec = 0;
-  // Written by the writer thread, read by stats() after Stop() and
-  // (monotonic counters only) while running.
+  // Written by the writer thread. The counters may be read while it
+  // runs; latencies_ns is its own until Stop() has joined it.
   std::atomic<uint64_t> committed{0};
   std::atomic<uint64_t> failed{0};
   std::atomic<uint64_t> max_ns{0};
-  std::atomic<uint64_t> buckets[64] = {};
+  std::vector<uint64_t> latencies_ns;
 };
 
 UpdateFeed::UpdateFeed(VersionedTpchDb* db, UpdateFeedOptions options)
@@ -138,7 +133,7 @@ void UpdateFeed::WriterLoop(Writer* w) {
       const uint64_t ns = t.ElapsedNanos();
       if (s.ok()) {
         w->committed.fetch_add(1, std::memory_order_relaxed);
-        w->buckets[Bucket(ns)].fetch_add(1, std::memory_order_relaxed);
+        w->latencies_ns.push_back(ns);
         uint64_t prev = w->max_ns.load(std::memory_order_relaxed);
         while (ns > prev && !w->max_ns.compare_exchange_weak(
                                 prev, ns, std::memory_order_relaxed)) {
@@ -161,32 +156,29 @@ void UpdateFeed::WriterLoop(Writer* w) {
 
 UpdateFeed::Stats UpdateFeed::stats() const {
   Stats s;
-  uint64_t buckets[64] = {};
+  std::vector<uint64_t> latencies;
   for (const auto& w : writers_) {
     s.committed += w->committed.load(std::memory_order_relaxed);
     s.failed += w->failed.load(std::memory_order_relaxed);
     s.max_ns = std::max(s.max_ns, w->max_ns.load(std::memory_order_relaxed));
-    for (int b = 0; b < 64; ++b) {
-      buckets[b] += w->buckets[b].load(std::memory_order_relaxed);
+    if (!running_) {
+      latencies.insert(latencies.end(), w->latencies_ns.begin(),
+                       w->latencies_ns.end());
     }
   }
   if (elapsed_sec_ > 0) {
     s.achieved_rps = static_cast<double>(s.committed) / elapsed_sec_;
   }
-  auto quantile = [&](double q) -> uint64_t {
-    const uint64_t total = s.committed;
-    if (total == 0) return 0;
-    const uint64_t want =
-        static_cast<uint64_t>(std::ceil(q * static_cast<double>(total)));
-    uint64_t seen = 0;
-    for (int b = 0; b < 64; ++b) {
-      seen += buckets[b];
-      if (seen >= want) return b >= 63 ? ~0ull : (2ull << b);
-    }
-    return s.max_ns;
-  };
-  s.p50_ns = quantile(0.50);
-  s.p99_ns = quantile(0.99);
+  if (!latencies.empty()) {
+    std::sort(latencies.begin(), latencies.end());
+    // Nearest rank: the smallest sample with at least pct% of all
+    // samples at or below it.
+    auto rank = [&](size_t pct) {
+      return latencies[(latencies.size() * pct + 99) / 100 - 1];
+    };
+    s.p50_ns = rank(50);
+    s.p99_ns = rank(99);
+  }
   return s;
 }
 

@@ -52,7 +52,9 @@ class UpdateFeed {
     uint64_t committed = 0;
     uint64_t failed = 0;
     double achieved_rps = 0;  ///< committed / wall seconds while running
-    uint64_t p50_ns = 0;      ///< commit latency (log2-bucket upper bound)
+    /// Nearest-rank percentiles of every committed op's latency (latch
+    /// wait included); 0 until Stop().
+    uint64_t p50_ns = 0;
     uint64_t p99_ns = 0;
     uint64_t max_ns = 0;
   };
@@ -68,6 +70,9 @@ class UpdateFeed {
   void Stop();
   bool running() const { return running_; }
 
+  /// \brief committed, failed and max_ns may be read while the feed
+  /// runs; achieved_rps, p50_ns and p99_ns are filled once Stop() has
+  /// joined the writers.
   Stats stats() const;
 
  private:

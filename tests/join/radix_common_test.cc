@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+#include <tuple>
 #include <vector>
 
 #include "common/random.h"
@@ -23,13 +25,29 @@ std::vector<Tuple> MakeTuples(size_t n, uint64_t seed = 1,
   return data;
 }
 
+// A kernel parameter that prints as its name. A bare function pointer
+// prints as its address, which moves with every run under ASLR, and
+// gtest_discover_tests builds the ctest names from the printed
+// parameters, so those names would change with every build.
+template <typename Kernel>
+struct NamedKernel {
+  const char* name;
+  Kernel fn;
+};
+
+template <typename Kernel>
+void PrintTo(const NamedKernel<Kernel>& kernel, std::ostream* os) {
+  *os << kernel.name;
+}
+
 // All histogram kernels must agree with a trivially correct count.
 class HistogramKernelTest
     : public ::testing::TestWithParam<
-          std::tuple<HistogramKernel, size_t, int>> {};
+          std::tuple<NamedKernel<HistogramKernel>, size_t, int>> {};
 
 TEST_P(HistogramKernelTest, MatchesOracle) {
-  auto [kernel, n, bits] = GetParam();
+  auto [named, n, bits] = GetParam();
+  const HistogramKernel kernel = named.fn;
   const uint32_t fanout = 1u << bits;
   const uint32_t mask = fanout - 1;
   auto data = MakeTuples(n);
@@ -45,8 +63,10 @@ TEST_P(HistogramKernelTest, MatchesOracle) {
 INSTANTIATE_TEST_SUITE_P(
     Kernels, HistogramKernelTest,
     ::testing::Combine(
-        ::testing::Values(&HistogramReference, &HistogramUnrolled,
-                          &HistogramSimd),
+        ::testing::Values(
+            NamedKernel<HistogramKernel>{"Reference", &HistogramReference},
+            NamedKernel<HistogramKernel>{"Unrolled", &HistogramUnrolled},
+            NamedKernel<HistogramKernel>{"Simd", &HistogramSimd}),
         ::testing::Values<size_t>(0, 1, 7, 8, 15, 16, 1000, 65536),
         ::testing::Values(1, 7, 12)));
 
@@ -65,10 +85,10 @@ TEST(HistogramKernelTest, ShiftedRadixBits) {
 }
 
 class ScatterKernelTest
-    : public ::testing::TestWithParam<ScatterKernel> {};
+    : public ::testing::TestWithParam<NamedKernel<ScatterKernel>> {};
 
 TEST_P(ScatterKernelTest, PartitionsCorrectly) {
-  ScatterKernel scatter = GetParam();
+  ScatterKernel scatter = GetParam().fn;
   const int bits = 5;
   const uint32_t fanout = 1u << bits;
   const uint32_t mask = fanout - 1;
@@ -104,9 +124,11 @@ TEST_P(ScatterKernelTest, PartitionsCorrectly) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Kernels, ScatterKernelTest,
-                         ::testing::Values(&ScatterReference,
-                                           &ScatterUnrolled));
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, ScatterKernelTest,
+    ::testing::Values(
+        NamedKernel<ScatterKernel>{"Reference", &ScatterReference},
+        NamedKernel<ScatterKernel>{"Unrolled", &ScatterUnrolled}));
 
 TEST(SoftwareBufferedScatterTest, MatchesReferenceScatter) {
   for (int bits : {1, 4, 8}) {

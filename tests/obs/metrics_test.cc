@@ -125,6 +125,12 @@ TEST(MetricsTest, SnapshotExportsJsonAndCsv) {
   EXPECT_NE(csv.find("test.export_counter"), std::string::npos);
 }
 
+TEST(MetricsTest, JsonStringEscapesQuotesBackslashesAndControlBytes) {
+  std::string out;
+  AppendJsonString(out, std::string("q\"\\\n\r\t\x01\x1f ~", 10));
+  EXPECT_EQ(out, "\"q\\\"\\\\\\n\\r\\t\\u0001\\u001f ~\"");
+}
+
 TEST(MetricsTest, DomainsAttributeOnlyTaggedActivity) {
   Registry& reg = Registry::Global();
   Counter* c = reg.GetCounter("test.domain_counter");

@@ -7,6 +7,7 @@
 
 #include "common/types.h"
 #include "obs/query_report.h"
+#include "plan/plan.h"
 #include "sgx/enclave.h"
 #include "sgx/transition.h"
 #include "tpch/queries.h"
@@ -100,6 +101,30 @@ TEST(QueryReportIntegrationTest, PoolHitRate) {
   r.pool_hits = 3;
   r.pool_misses = 1;
   EXPECT_DOUBLE_EQ(r.PoolHitRate(), 0.75);
+}
+
+// Plan names are chosen by clients (serve::QueryRequest::plan) and reach
+// the report JSON as the query name and, on the fused path, as the
+// prefix of every phase name: both must come out escaped.
+TEST(QueryReportIntegrationTest, JsonEscapesPlanName) {
+  plan::PlanBuilder b;
+  const int scan = b.Scan(plan::TableId::kLineitem);
+  auto built =
+      b.Build(b.Aggregate(scan, plan::AggSpec::CountStar()), "a\"b\\c\n");
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  for (bool fused : {false, true}) {
+    tpch::QueryConfig cfg;
+    cfg.pipeline = fused;
+    auto result = tpch::RunPlan(built.value(), Db(), cfg);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_EQ(result.value().count, Db().lineitem.num_rows);
+    const std::string json = result.value().report.ToJson();
+    EXPECT_EQ(json.rfind("{\"query\": \"a\\\"b\\\\c\\n\", ", 0), 0u) << json;
+    EXPECT_EQ(json.find('\n'), std::string::npos) << json;
+    if (fused) {
+      EXPECT_NE(json.find("{\"a\\\"b\\\\c\\n."), std::string::npos) << json;
+    }
+  }
 }
 
 }  // namespace

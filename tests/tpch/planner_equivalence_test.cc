@@ -19,6 +19,7 @@
 #include <string>
 #include <tuple>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "plan/catalog.h"
@@ -365,20 +366,31 @@ TEST(PlannerDecisionTest, ForcedJoinAlgoOverridesCostModel) {
   }
 }
 
-TEST(PlannerDecisionTest, PlannerOffRestoresLegacyBehaviour) {
+// The paper's Section 6 setup (bench_fig17_tpch): every join forced to
+// RHO through the public DecideFor + ExecuteMaterializing seam, with no
+// knob involved. Must match the reference oracles with either kernel
+// flavour.
+TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
   PlannerWorld& w = World();
-  const plan::CatalogEntry* q3 = plan::FindQuery(3);
-  ScopedEnv off("SGXBENCH_PLANNER", "0");
-  QueryConfig cfg;
-  const plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
-  // Legacy: materializing unless the pipeline knob says otherwise, every
-  // join RHO, nothing cost-based.
-  EXPECT_FALSE(d.fused);
-  EXPECT_FALSE(d.mode_cost_based);
-  for (size_t id = 0; id < q3->plan.nodes().size(); ++id) {
-    if (q3->plan.nodes()[id].kind != plan::PlanNode::Kind::kJoin) continue;
-    EXPECT_EQ(d.joins[id].algo, join::JoinAlgorithm::kRho);
-    EXPECT_FALSE(d.joins[id].cost_based);
+  const std::pair<int, uint64_t> queries[] = {{3, ReferenceQ3(w.db)},
+                                              {10, ReferenceQ10(w.db)},
+                                              {12, ReferenceQ12(w.db)},
+                                              {19, ReferenceQ19(w.db)}};
+  for (const auto& [query, expected] : queries) {
+    const plan::CatalogEntry* e = plan::FindQuery(query);
+    ASSERT_NE(e, nullptr);
+    for (KernelFlavor flavor :
+         {KernelFlavor::kReference, KernelFlavor::kUnrolledReordered}) {
+      QueryConfig cfg;
+      cfg.num_threads = 2;
+      cfg.radix_bits = 8;
+      cfg.flavor = flavor;
+      plan::PlanDecisions d = plan::DecideFor(e->plan, ViewOf(w.db), cfg);
+      for (plan::JoinChoice& j : d.joins) j.algo = join::JoinAlgorithm::kRho;
+      auto r = plan::ExecuteMaterializing(e->plan, ViewOf(w.db), cfg, d);
+      ASSERT_TRUE(r.ok()) << r.status().ToString();
+      EXPECT_EQ(r.value().count, expected) << "Q" << query;
+    }
   }
 }
 
@@ -413,106 +425,6 @@ TEST(ExplainTest, EnvKnobAttachesExplainToResult) {
   ASSERT_TRUE(quiet.ok());
   EXPECT_TRUE(quiet.value().explain.empty())
       << "explain must be opt-in, not always-on";
-}
-
-// --- Adaptive execution (SGXBENCH_ADAPTIVE) ---------------------------------
-// Repeated runs drive each workload key through the tuning cache's
-// exploration pass (different arms: probe modes, batch widths, fusion
-// toggled, morsel grains) into exploitation. Every picked setting must
-// produce the same answer as the static baseline — resident and paged.
-
-using AdaptiveParam = std::tuple<int, bool>;
-
-class AdaptiveEquivalenceTest
-    : public ::testing::TestWithParam<AdaptiveParam> {};
-
-TEST_P(AdaptiveEquivalenceTest, RepeatedAdaptiveRunsMatchStatic) {
-  auto [query, paged] = GetParam();
-  PlannerWorld& w = World();
-  const TpchDbView view = paged ? w.paged.View() : ViewOf(w.db);
-
-  QueryConfig cfg;
-  cfg.num_threads = 2;
-  cfg.radix_bits = 8;
-
-  auto baseline = RunQuery(query, view, cfg);
-  ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
-  EXPECT_FALSE(baseline.value().tuning.active)
-      << "tuning must be inert with SGXBENCH_ADAPTIVE unset";
-
-  ScopedEnv adaptive("SGXBENCH_ADAPTIVE", "1");
-  for (int run = 0; run < 4; ++run) {
-    auto r = RunQuery(query, view, cfg);
-    ASSERT_TRUE(r.ok()) << "run " << run << ": " << r.status().ToString();
-    EXPECT_EQ(r.value().count, baseline.value().count) << "run " << run;
-    EXPECT_EQ(r.value().group_counts, baseline.value().group_counts)
-        << "run " << run;
-    EXPECT_TRUE(r.value().tuning.active) << "run " << run;
-    EXPECT_GE(r.value().tuning.decisions, 1u) << "run " << run;
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllCatalogQueries, AdaptiveEquivalenceTest,
-    ::testing::Combine(::testing::ValuesIn(kCatalogQueries),
-                       ::testing::Bool()),
-    [](const ::testing::TestParamInfo<AdaptiveParam>& info) {
-      const plan::CatalogEntry* e = plan::FindQuery(std::get<0>(info.param));
-      std::string name = e != nullptr ? e->name : "unknown";
-      name += std::get<1>(info.param) ? "_Paged" : "_Resident";
-      return name;
-    });
-
-// SGXBENCH_ADAPTIVE off (the default) must keep reports byte-identical
-// to the pre-adaptive format: no tuning section in either rendering, no
-// tune line in explain, and forced knobs still win when adaptive is on.
-TEST(AdaptiveOffTest, ReportsCarryNoTuningSection) {
-  PlannerWorld& w = World();
-  QueryConfig cfg;
-  cfg.num_threads = 1;
-  auto r = RunQuery(6, w.db, cfg);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_FALSE(r.value().tuning.active);
-  EXPECT_FALSE(r.value().report.tuning.active);
-  EXPECT_EQ(r.value().report.ToJson().find("tuning"), std::string::npos);
-  EXPECT_EQ(r.value().report.ToString().find("tuning"), std::string::npos);
-}
-
-TEST(AdaptiveOnTest, ExplainAndReportSurfaceTheDecision) {
-  PlannerWorld& w = World();
-  QueryConfig cfg;
-  cfg.num_threads = 1;
-  ScopedEnv adaptive("SGXBENCH_ADAPTIVE", "1");
-  ScopedEnv explain("SGXBENCH_EXPLAIN", "1");
-  auto r = RunQuery(6, w.db, cfg);
-  ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_TRUE(r.value().tuning.active);
-  EXPECT_NE(r.value().explain.find("tune:"), std::string::npos)
-      << r.value().explain;
-  EXPECT_NE(r.value().report.ToJson().find("\"tuning\""),
-            std::string::npos);
-  EXPECT_NE(r.value().report.ToString().find("tuning:"),
-            std::string::npos);
-  // The decision's provenance is one of the three documented sources.
-  const std::string& src = r.value().tuning.source;
-  EXPECT_TRUE(src == "prior" || src == "explore" || src == "cache") << src;
-}
-
-TEST(AdaptiveOnTest, ForcedKnobsStillBeatTheTuner) {
-  PlannerWorld& w = World();
-  ScopedEnv adaptive("SGXBENCH_ADAPTIVE", "1");
-  QueryConfig cfg;
-  cfg.num_threads = 2;
-  cfg.pipeline = false;  // explicit config: the tuner must not override
-  cfg.probe_mode = exec::ProbeMode::kTupleAtATime;
-  // Several runs so the tuner would explore fused arms if it could.
-  for (int run = 0; run < 3; ++run) {
-    auto r = RunQuery(3, w.db, cfg);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r.value().count, ReferenceQ3(w.db)) << "run " << run;
-    EXPECT_FALSE(r.value().tuning.fused)
-        << "run " << run << ": explicit pipeline=false was overridden";
-  }
 }
 
 }  // namespace
