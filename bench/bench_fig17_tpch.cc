@@ -54,23 +54,34 @@ int main() {
     cfg.num_threads = threads;
     cfg.radix_bits = core::FullScale() ? 14 : 10;
 
-    // Native, optimized kernels.
+    // Every cell is the mean over core::Repeat (SGXBENCH_REPS) runs.
+    const int reps = core::DefaultRepetitions();
+    // Optimized kernels: the native and the optimized enclave cells.
     cfg.flavor = KernelFlavor::kUnrolledReordered;
-    auto opt = RunRho(query, db, cfg);
+    uint64_t opt_count = 0;
+    double native = 0;
+    const double sgx_opt = core::Repeat(reps, [&] {
+      const tpch::QueryResult opt = RunRho(query, db, cfg);
+      opt_count = opt.count;
+      native += core::HostScaledNs(opt.phases, ExecutionSetting::kPlainCpu) /
+                reps;
+      return core::HostScaledNs(opt.phases,
+                                ExecutionSetting::kSgxDataInEnclave);
+    }).mean_ns;
     // Reference kernels (to derive the unoptimized enclave time).
     cfg.flavor = KernelFlavor::kReference;
-    auto ref = RunRho(query, db, cfg);
-    if (opt.count != ref.count) {
+    uint64_t ref_count = 0;
+    const double sgx_unopt = core::Repeat(reps, [&] {
+      const tpch::QueryResult ref = RunRho(query, db, cfg);
+      ref_count = ref.count;
+      return core::HostScaledNs(ref.phases,
+                                ExecutionSetting::kSgxDataInEnclave);
+    }).mean_ns;
+    if (opt_count != ref_count) {
       std::fprintf(stderr, "Q%d count mismatch!\n", query);
       return 1;
     }
 
-    double native = core::HostScaledNs(opt.phases,
-                                       ExecutionSetting::kPlainCpu);
-    double sgx_unopt = core::HostScaledNs(
-        ref.phases, ExecutionSetting::kSgxDataInEnclave);
-    double sgx_opt = core::HostScaledNs(
-        opt.phases, ExecutionSetting::kSgxDataInEnclave);
     sum_native += native;
     sum_unopt += sgx_unopt;
     sum_opt += sgx_opt;
@@ -79,7 +90,7 @@ int main() {
     std::snprintf(saves, sizeof(saves), "%.0f%%",
                   (1.0 - sgx_opt / sgx_unopt) * 100.0);
     table.AddRow({"Q" + std::to_string(query),
-                  std::to_string(opt.count), core::FormatNanos(native),
+                  std::to_string(opt_count), core::FormatNanos(native),
                   core::FormatNanos(sgx_unopt),
                   core::FormatNanos(sgx_opt), saves, paper_saves[qi++]});
   }

@@ -5,6 +5,7 @@
 // hash table) plus a probe stage fused into its parent's pipeline; the
 // root aggregate runs as a per-lane sink in the last pipeline.
 
+#include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <functional>
@@ -16,6 +17,7 @@
 #include "exec/probe_pipeline.h"
 #include "join/hash_table.h"
 #include "join/join_common.h"
+#include "obs/trace.h"
 #include "plan/planner.h"
 #include "scan/scan_kernels.h"
 #include "storage/column_view.h"
@@ -58,45 +60,42 @@ struct FusedTable {
   }
 };
 
-// sigma(lo <= col <= hi) over [r.begin, r.end), branchless; writes
-// absolute row ids. Paged views pin one partition run at a time.
-Result<size_t> FilterU32Morsel(const ColumnView<uint32_t>& col, Range r,
-                               uint32_t lo, uint32_t hi, uint64_t* out) {
+// sigma(lo <= col <= hi) over [r.begin, r.end) with a SIMD row-id
+// kernel (picked once per query); writes absolute row ids. Paged and
+// versioned views hand the kernel one pinned run at a time.
+template <typename T>
+Result<size_t> ScanMorsel(const ColumnView<T>& col, Range r, T lo, T hi,
+                          uint64_t* out,
+                          uint64_t (*kernel)(const T*, size_t, T, T,
+                                             uint64_t, uint64_t*)) {
   size_t k = 0;
   SGXB_RETURN_NOT_OK(storage::ForEachRun(
-      col, r.begin, r.end,
-      [&](const uint32_t* run, size_t base, size_t n) {
-        for (size_t j = 0; j < n; ++j) {
-          out[k] = base + j;
-          k += (run[j] >= lo && run[j] <= hi) ? 1 : 0;
-        }
-      }));
-  return k;
-}
-
-// SIMD u8 range scan over a morsel (kernel picked once per query).
-Result<size_t> ScanU8Morsel(const ColumnView<uint8_t>& col, Range r,
-                            uint8_t lo, uint8_t hi, uint64_t* out,
-                            scan::RowIdKernel kernel) {
-  size_t k = 0;
-  SGXB_RETURN_NOT_OK(storage::ForEachRun(
-      col, r.begin, r.end,
-      [&](const uint8_t* run, size_t base, size_t n) {
+      col, r.begin, r.end, [&](const T* run, size_t base, size_t n) {
         k += kernel(run, n, lo, hi, base, out + k);
       }));
   return k;
 }
 
-template <typename Pred>
-size_t RefineMorsel(const uint64_t* in, size_t n, uint64_t* out,
-                    Pred pred) {
-  size_t k = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t id = in[i];
-    out[k] = id;
-    k += pred(id) ? 1 : 0;
-  }
-  return k;
+// Splits the ascending id list ids[0, m) at the joint run boundaries of
+// `cols` and calls fn(base, n, run_ids, count, runs...) for each run that
+// holds ids, so a gather kernel reads raw run pointers whatever the view
+// kind. Ids leaving a batched probe are out of order and must not come
+// here.
+template <typename Fn, typename... Ts>
+Status ForEachIdRun(const uint64_t* ids, size_t m, Fn&& fn,
+                    const ColumnView<Ts>&... cols) {
+  if (m == 0) return Status::OK();
+  size_t pos = 0;
+  return storage::ForEachJointRun(
+      ids[0], ids[m - 1] + 1,
+      [&](size_t base, size_t n, const Ts*... runs) {
+        const uint64_t* end = std::lower_bound(
+            ids + pos, ids + m, static_cast<uint64_t>(base + n));
+        const size_t count = static_cast<size_t>(end - (ids + pos));
+        if (count > 0) fn(base, n, ids + pos, count, runs...);
+        pos += count;
+      },
+      cols...);
 }
 
 void StageTuples(ColumnReader<uint32_t>& keys, const uint64_t* ids,
@@ -129,7 +128,10 @@ Result<double> RunPipe(const std::string& span_name, size_t total,
                        const QueryConfig& config,
                        const exec::MorselBody& body) {
   exec::PipelineConfig pc;
-  pc.name = span_name.c_str();
+  // The trace rings keep the name pointer until export, long after
+  // `span_name` is gone, so a traced pipeline's name is interned. An
+  // untraced run keeps the static default: InternName takes a lock.
+  if (obs::TracingEnabled()) pc.name = obs::InternName(span_name);
   pc.num_threads = config.num_threads;
   pc.enclave_lanes = config.setting != ExecutionSetting::kPlainCpu;
   pc.resource = tpch::EffectiveResource(config);
@@ -171,8 +173,12 @@ struct alignas(kCacheLineSize) LaneSlot {
 // A fused stage's consumer: receives the surviving row ids of the
 // subtree's output table, morsel by morsel (possibly several flushes
 // per morsel when a probe overflows the lane's selection buffer).
-using MorselSink =
-    std::function<Status(exec::PipelineLane&, const uint64_t*, size_t)>;
+// `ascending` is true when a scan produced the ids; ids leaving a
+// batched probe come in completion order, and sinks read them through
+// ColumnReader.
+using MorselSink = std::function<Status(exec::PipelineLane&,
+                                        const uint64_t*, size_t,
+                                        bool ascending)>;
 
 class FusedExec {
  public:
@@ -185,7 +191,9 @@ class FusedExec {
         mode_(dec.probe_mode),
         width_(dec.probe_batch),
         batched_(dec.probe_mode != exec::ProbeMode::kTupleAtATime),
-        kernel_(scan::PickRowIdKernel(SimdLevel::kAvx512)),
+        scan_u8_(scan::PickRowIdKernel(SimdLevel::kAvx512)),
+        scan_u32_(scan::PickRowIdKernelU32(SimdLevel::kAvx512)),
+        gather_(scan::PickGatherKernels(SimdLevel::kAvx512)),
         tables_(plan.nodes().size()) {
     prefix_ = plan.name();
     for (char& c : prefix_) {
@@ -213,9 +221,12 @@ class FusedExec {
                    std::atomic<uint64_t>* sink_rows, size_t sink_ws);
 
   // Applies a scan node's predicate chain to one morsel; the surviving
-  // ids end up in lane.sel_out().
+  // ids end up in lane.sel_out(), ascending.
   Result<size_t> ApplyPreds(const PlanNode& n, Range r,
                             exec::PipelineLane& lane);
+  // Thins the ascending ids[0, m) by one predicate into `out`.
+  Result<size_t> Refine(const Predicate& p, const uint64_t* ids, size_t m,
+                        uint64_t* out) const;
 
   size_t PredBytes(const PlanNode& n) const {
     size_t bytes = 0;
@@ -234,7 +245,9 @@ class FusedExec {
   const exec::ProbeMode mode_;
   const int width_;
   const bool batched_;
-  const scan::RowIdKernel kernel_;
+  const scan::RowIdKernel scan_u8_;
+  const scan::RowIdKernelU32 scan_u32_;
+  const scan::GatherKernels& gather_;
   std::vector<FusedTable> tables_;
   std::string prefix_;
   OpRecorder rec_;
@@ -245,76 +258,77 @@ Result<size_t> FusedExec::ApplyPreds(const PlanNode& n, Range r,
   uint64_t* sel = lane.sel_out();
   size_t k = 0;
   size_t next = 0;
-  if (n.predicates.empty()) {
-    for (size_t i = r.begin; i < r.end; ++i) sel[k++] = i;
+  const Predicate* first = n.predicates.empty() ? nullptr : &n.predicates[0];
+  if (first != nullptr && first->kind == Predicate::Kind::kU32Range) {
+    SGXB_ASSIGN_OR_RETURN(k, ScanMorsel(U32Column(db_, first->col), r,
+                                        first->lo, first->hi, sel,
+                                        scan_u32_));
+    next = 1;
+  } else if (first != nullptr && first->kind == Predicate::Kind::kU8Range) {
+    SGXB_ASSIGN_OR_RETURN(
+        k, ScanMorsel(U8Column(db_, first->col), r,
+                      static_cast<uint8_t>(first->lo),
+                      static_cast<uint8_t>(first->hi), sel, scan_u8_));
+    next = 1;
   } else {
-    const Predicate& p = n.predicates[0];
-    switch (p.kind) {
-      case Predicate::Kind::kU32Range: {
-        auto f = FilterU32Morsel(U32Column(db_, p.col), r, p.lo, p.hi, sel);
-        if (!f.ok()) return f.status();
-        k = f.value();
-        next = 1;
-        break;
-      }
-      case Predicate::Kind::kU8Range: {
-        auto f = ScanU8Morsel(U8Column(db_, p.col), r,
-                              static_cast<uint8_t>(p.lo),
-                              static_cast<uint8_t>(p.hi), sel, kernel_);
-        if (!f.ok()) return f.status();
-        k = f.value();
-        next = 1;
-        break;
-      }
-      default:
-        // kU8InSet / kColLess have no direct scan form: start from the
-        // full morsel and refine below.
-        for (size_t i = r.begin; i < r.end; ++i) sel[k++] = i;
-        break;
-    }
+    // No predicate, or kU8InSet / kColLess first, which have no direct
+    // scan form: start from the full morsel and refine below.
+    for (size_t i = r.begin; i < r.end; ++i) sel[k++] = i;
   }
   for (size_t pi = next; pi < n.predicates.size(); ++pi) {
-    const Predicate& p = n.predicates[pi];
     lane.FlipSel();
-    switch (p.kind) {
-      case Predicate::Kind::kU32Range: {
-        ColumnReader<uint32_t> c(U32Column(db_, p.col));
-        k = RefineMorsel(lane.sel_in(), k, lane.sel_out(),
-                         [&](uint64_t id) {
-                           return c[id] >= p.lo && c[id] <= p.hi;
-                         });
-        SGXB_RETURN_NOT_OK(c.status());
-        break;
-      }
-      case Predicate::Kind::kU8Range: {
-        ColumnReader<uint8_t> c(U8Column(db_, p.col));
-        k = RefineMorsel(lane.sel_in(), k, lane.sel_out(),
-                         [&](uint64_t id) {
-                           return c[id] >= p.lo && c[id] <= p.hi;
-                         });
-        SGXB_RETURN_NOT_OK(c.status());
-        break;
-      }
-      case Predicate::Kind::kU8InSet: {
-        ColumnReader<uint8_t> c(U8Column(db_, p.col));
-        k = RefineMorsel(lane.sel_in(), k, lane.sel_out(),
-                         [&](uint64_t id) {
-                           return ((p.mask >> c[id]) & 1u) != 0;
-                         });
-        SGXB_RETURN_NOT_OK(c.status());
-        break;
-      }
-      case Predicate::Kind::kColLess: {
-        ColumnReader<uint32_t> a(U32Column(db_, p.col));
-        ColumnReader<uint32_t> b(U32Column(db_, p.rhs));
-        k = RefineMorsel(lane.sel_in(), k, lane.sel_out(),
-                         [&](uint64_t id) { return a[id] < b[id]; });
-        SGXB_RETURN_NOT_OK(a.status());
-        SGXB_RETURN_NOT_OK(b.status());
-        break;
-      }
-    }
+    SGXB_ASSIGN_OR_RETURN(
+        k, Refine(n.predicates[pi], lane.sel_in(), k, lane.sel_out()));
   }
+  return k;
+}
+
+Result<size_t> FusedExec::Refine(const Predicate& p, const uint64_t* ids,
+                                 size_t m, uint64_t* out) const {
+  const scan::GatherKernels& g = gather_;
+  size_t k = 0;
+  Status s;
+  switch (p.kind) {
+    case Predicate::Kind::kU32Range:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint32_t* run) {
+            k += g.u32_range(run, base, n, in, cnt, p.lo, p.hi, out + k);
+          },
+          U32Column(db_, p.col));
+      break;
+    case Predicate::Kind::kU8Range:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint8_t* run) {
+            k += g.u8_range(run, base, n, in, cnt,
+                            static_cast<uint8_t>(p.lo),
+                            static_cast<uint8_t>(p.hi), out + k);
+          },
+          U8Column(db_, p.col));
+      break;
+    case Predicate::Kind::kU8InSet:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint8_t* run) {
+            k += g.u8_in_set(run, base, n, in, cnt, p.mask, out + k);
+          },
+          U8Column(db_, p.col));
+      break;
+    case Predicate::Kind::kColLess:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint32_t* a, const uint32_t* b) {
+            k += g.u32_less(a, b, base, n, in, cnt, out + k);
+          },
+          U32Column(db_, p.col), U32Column(db_, p.rhs));
+      break;
+  }
+  SGXB_RETURN_NOT_OK(s);
   return k;
 }
 
@@ -331,7 +345,8 @@ Status FusedExec::DriveScan(int id, const std::string& name,
                       if (!k.ok()) return k.status();
                       sel_rows.fetch_add(k.value(),
                                          std::memory_order_relaxed);
-                      return sink(lane, lane.sel_out(), k.value());
+                      return sink(lane, lane.sel_out(), k.value(),
+                                  /*ascending=*/true);
                     });
   if (!ns.ok()) return ns.status();
   const size_t seq = PredBytes(n) == 0 ? total * sizeof(uint32_t)
@@ -369,14 +384,14 @@ Status FusedExec::DriveJoin(int id, const std::string& name,
         auto on_match = [&](const Tuple&, const Tuple& probe) {
           out[m++] = probe.payload;
           if (m == cap) {
-            Status s = sink(lane, out, m);
+            Status s = sink(lane, out, m, /*ascending=*/false);
             if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
             m = 0;
           }
         };
         ProbeStaged(tbl.table, lane.stage(), k, mode_, width_, on_match);
         if (m > 0) {
-          Status s = sink(lane, out, m);
+          Status s = sink(lane, out, m, /*ascending=*/false);
           if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
         }
         sel_rows.fetch_add(k, std::memory_order_relaxed);
@@ -450,8 +465,8 @@ Status FusedExec::PrepareTables(int id, const std::string& suffix) {
       const ColumnView<uint32_t> bkey = U32Column(db_, n.build_key);
       std::atomic<uint64_t> inserted{0};
       MorselSink insert_sink =
-          [&](exec::PipelineLane&, const uint64_t* ids,
-              size_t cnt) -> Status {
+          [&](exec::PipelineLane&, const uint64_t* ids, size_t cnt,
+              bool) -> Status {
         ColumnReader<uint32_t> key(bkey);
         for (size_t i = 0; i < cnt; ++i) {
           tbl.table.Insert(
@@ -491,7 +506,7 @@ Result<QueryResult> FusedExec::Run() {
     case AggSpec::Kind::kCountStar: {
       std::vector<LaneSlot<uint64_t>> counts(lanes);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t*,
-                            size_t cnt) -> Status {
+                            size_t cnt, bool) -> Status {
         counts[static_cast<size_t>(lane.lane_id())].value += cnt;
         return Status::OK();
       };
@@ -509,7 +524,7 @@ Result<QueryResult> FusedExec::Run() {
       const ColumnView<uint32_t> fk_col = U32Column(db_, agg.fk);
       const ColumnView<uint8_t> val_col = U8Column(db_, agg.values);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t* ids,
-                            size_t cnt) -> Status {
+                            size_t cnt, bool) -> Status {
         ColumnReader<uint32_t> fk(fk_col);
         ColumnReader<uint8_t> vals(val_col);
         uint64_t* c =
@@ -553,31 +568,52 @@ Result<QueryResult> FusedExec::Run() {
       break;
     }
     case AggSpec::Kind::kGroupSum2: {
-      struct Aggs {
-        GroupAgg g[kMaxGroups] = {};
+      // Listing 2: each lane aggregates into kGroupCopies private
+      // histograms, summed once at the end.
+      struct Hists {
+        GroupAgg h[scan::kGroupCopies * kMaxGroups] = {};
       };
-      std::vector<LaneSlot<Aggs>> lane_aggs(lanes);
+      std::vector<LaneSlot<Hists>> lane_hists(lanes);
       std::atomic<bool> out_of_range{false};
       const int num_groups = agg.num_g1 * agg.num_g2;
+      const uint32_t num_g1 = static_cast<uint32_t>(agg.num_g1);
+      const uint32_t num_g2 = static_cast<uint32_t>(agg.num_g2);
       const ColumnView<uint32_t> val_col = U32Column(db_, agg.value);
       const ColumnView<uint8_t> g1_col = U8Column(db_, agg.g1);
       const ColumnView<uint8_t> g2_col = U8Column(db_, agg.g2);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t* ids,
-                            size_t cnt) -> Status {
+                            size_t cnt, bool ascending) -> Status {
+        GroupAgg* h = lane_hists[static_cast<size_t>(lane.lane_id())].value.h;
+        if (ascending) {
+          bool fits = true;
+          SGXB_RETURN_NOT_OK(ForEachIdRun(
+              ids, cnt,
+              [&](size_t base, size_t n, const uint64_t* in, size_t c,
+                  const uint32_t* val, const uint8_t* g1,
+                  const uint8_t* g2) {
+                if (fits && gather_.group_sum2(val, g1, g2, base, n, in, c,
+                                               num_g1, num_g2, h,
+                                               kMaxGroups) != c) {
+                  fits = false;
+                }
+              },
+              val_col, g1_col, g2_col));
+          if (!fits) out_of_range.store(true, std::memory_order_relaxed);
+          return Status::OK();
+        }
         ColumnReader<uint32_t> val(val_col);
         ColumnReader<uint8_t> g1(g1_col);
         ColumnReader<uint8_t> g2(g2_col);
-        GroupAgg* groups =
-            lane_aggs[static_cast<size_t>(lane.lane_id())].value.g;
         for (size_t i = 0; i < cnt; ++i) {
           const uint64_t id = ids[i];
-          const uint8_t a = g1[id];
-          const uint8_t b = g2[id];
-          if (a >= agg.num_g1 || b >= agg.num_g2) {
+          const uint32_t a = g1[id];
+          const uint32_t b = g2[id];
+          if (a >= num_g1 || b >= num_g2) {
             out_of_range.store(true, std::memory_order_relaxed);
             break;
           }
-          GroupAgg& g = groups[a * agg.num_g2 + b];
+          GroupAgg& g =
+              h[(i % scan::kGroupCopies) * kMaxGroups + a * num_g2 + b];
           ++g.count;
           g.sum += val[id];
         }
@@ -594,7 +630,11 @@ Result<QueryResult> FusedExec::Run() {
       }
       for (int g = 0; g < num_groups; ++g) {
         uint64_t count = 0;
-        for (const auto& slot : lane_aggs) count += slot.value.g[g].count;
+        for (const auto& slot : lane_hists) {
+          for (int c = 0; c < scan::kGroupCopies; ++c) {
+            count += slot.value.h[c * kMaxGroups + g].count;
+          }
+        }
         result.group_counts.push_back(count);
         result.count += count;
       }
@@ -609,7 +649,18 @@ Result<QueryResult> FusedExec::Run() {
       const ColumnView<uint32_t> a_col = U32Column(db_, agg.value);
       const ColumnView<uint32_t> b_col = U32Column(db_, agg.value2);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t* ids,
-                            size_t cnt) -> Status {
+                            size_t cnt, bool ascending) -> Status {
+        Sums& s = lane_sums[static_cast<size_t>(lane.lane_id())].value;
+        s.rows += cnt;
+        if (ascending) {
+          return ForEachIdRun(
+              ids, cnt,
+              [&](size_t base, size_t n, const uint64_t* in, size_t c,
+                  const uint32_t* a, const uint32_t* b) {
+                s.sum += gather_.sum_product(a, b, base, n, in, c);
+              },
+              a_col, b_col);
+        }
         ColumnReader<uint32_t> a(a_col);
         ColumnReader<uint32_t> b(b_col);
         uint64_t local = 0;
@@ -617,9 +668,7 @@ Result<QueryResult> FusedExec::Run() {
           const uint64_t id = ids[i];
           local += static_cast<uint64_t>(a[id]) * b[id];
         }
-        Sums& s = lane_sums[static_cast<size_t>(lane.lane_id())].value;
         s.sum += local;
-        s.rows += cnt;
         SGXB_RETURN_NOT_OK(a.status());
         return b.status();
       };

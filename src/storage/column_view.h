@@ -15,6 +15,9 @@
 //    partition before working the current one so the reload decrypt hides
 //    behind the scan. With an overlay, runs additionally break at version
 //    chunk boundaries.
+//    ForEachJointRun does the same over several columns of one table,
+//    splitting at every column's boundaries, for kernels that read more
+//    than one column per row.
 //  - ColumnReader: positional access by row id. Caches the last pinned
 //    partition (or version chunk); row-id lists produced by scans are
 //    ascending, so nearly every access hits the cached run. operator[]
@@ -136,6 +139,35 @@ Status ForEachRun(const ColumnView<T>& view, size_t begin, size_t end,
     i = run_end;
   }
   return Status::OK();
+}
+
+/// \brief ForEachRun over several views of one table at once: invokes
+/// `fn(abs_base, count, run_0, ..., run_k)` over [begin, end) split at
+/// every view's run boundaries, so each `run_j[i]` is row `abs_base + i`
+/// of view j. Every view's run stays pinned while `fn` runs.
+template <typename Fn, typename T, typename... Rest>
+Status ForEachJointRun(size_t begin, size_t end, Fn&& fn,
+                       const ColumnView<T>& first,
+                       const ColumnView<Rest>&... rest) {
+  if constexpr (sizeof...(Rest) == 0) {
+    return ForEachRun(first, begin, end,
+                      [&](const T* run, size_t base, size_t n) {
+                        fn(base, n, run);
+                      });
+  } else {
+    Status inner;
+    SGXB_RETURN_NOT_OK(ForEachRun(
+        first, begin, end, [&](const T* run, size_t base, size_t n) {
+          if (!inner.ok()) return;
+          inner = ForEachJointRun(
+              base, base + n,
+              [&](size_t b, size_t m, const Rest*... runs) {
+                fn(b, m, run + (b - base), runs...);
+              },
+              rest...);
+        }));
+    return inner;
+  }
 }
 
 template <typename T>

@@ -16,6 +16,7 @@
 #include "obs/metrics.h"
 #include "perf/calibration.h"
 #include "scan/column_scan.h"
+#include "scan/scan_kernels.h"
 
 namespace sgxb::tpch {
 
@@ -142,10 +143,6 @@ mem::MemoryResource* EffectiveResource(const QueryConfig& config) {
   return mem::ResourceFor(config.setting, config.enclave);
 }
 
-bool PipelineEnabled(const QueryConfig& config) {
-  return ResolveKnob(config.pipeline, EnvBoolOpt("SGXBENCH_PIPELINE"), false);
-}
-
 QueryConfig ResolvedQueryConfig(const QueryConfig& config) {
   QueryConfig r = config;
   // Pin the pipeline choice only when something actually chose: an
@@ -211,38 +208,23 @@ void OpRecorder::Absorb(const std::string& prefix,
   }
 }
 
-Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
-                                uint8_t lo, uint8_t hi,
-                                const QueryConfig& config, OpRecorder* rec,
-                                const std::string& name) {
+namespace {
+
+// sigma(lo <= col <= hi) over any view kind: the SIMD row-id kernel runs
+// on each run ForEachRun hands out (one for a resident view, one per
+// pinned partition or version chunk otherwise), and the per-thread
+// slices are compacted in order, so the id list is the same for every
+// thread count and view kind.
+template <typename T>
+Result<RowIdList> FilterRuns(storage::ColumnView<T> col, T lo, T hi,
+                             uint64_t (*kernel)(const T*, size_t, T, T,
+                                                uint64_t, uint64_t*),
+                             const QueryConfig& config, OpRecorder* rec,
+                             const std::string& name) {
   auto out = RowIdList::Allocate(col.num_values(), config);
   if (!out.ok()) return out.status();
   RowIdList result = std::move(out).value();
 
-  if (!col.paged() && !col.versioned()) {
-    scan::ScanConfig sc;
-    sc.lo = lo;
-    sc.hi = hi;
-    sc.num_threads = config.num_threads;
-    sc.setting = config.setting;
-    uint64_t count = 0;
-    auto scan_result = scan::RunRowIdScan(col.raw(), col.num_values(),
-                                          result.ids(), &count, sc);
-    if (!scan_result.ok()) return scan_result.status();
-    result.set_count(count);
-    ChargeBytesMaterialized(count * sizeof(uint64_t));
-    if (rec != nullptr) {
-      rec->Record(name, scan_result.value().host_ns,
-                  scan_result.value().profile, config.num_threads);
-    }
-    return result;
-  }
-
-  // Paged: same SIMD row-id kernel, applied per pinned partition run.
-  // Per-thread slices are compacted in order, exactly like the resident
-  // driver, so the id list comes out identical.
-  const scan::RowIdKernel kernel =
-      scan::PickRowIdKernel(SimdLevel::kAvx512);
   const int threads = config.num_threads;
   std::vector<uint64_t> counts(threads, 0);
   std::vector<Range> ranges(threads);
@@ -254,8 +236,7 @@ Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
     uint64_t* dst = result.ids() + r.begin;
     uint64_t k = 0;
     thread_status[tid] = storage::ForEachRun(
-        col, r.begin, r.end,
-        [&](const uint8_t* run, size_t base, size_t n) {
+        col, r.begin, r.end, [&](const T* run, size_t base, size_t n) {
           k += kernel(run, n, lo, hi, base, dst + k);
         });
     counts[tid] = k;
@@ -273,6 +254,7 @@ Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
   }
   result.set_count(total);
   ChargeBytesMaterialized(total * sizeof(uint64_t));
+
   if (rec != nullptr) {
     perf::AccessProfile p;
     p.seq_read_bytes = col.size_bytes();
@@ -285,60 +267,45 @@ Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
   return result;
 }
 
+}  // namespace
+
+Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
+                                uint8_t lo, uint8_t hi,
+                                const QueryConfig& config, OpRecorder* rec,
+                                const std::string& name) {
+  if (col.paged() || col.versioned()) {
+    return FilterRuns(col, lo, hi, scan::PickRowIdKernel(SimdLevel::kAvx512),
+                      config, rec, name);
+  }
+
+  auto out = RowIdList::Allocate(col.num_values(), config);
+  if (!out.ok()) return out.status();
+  RowIdList result = std::move(out).value();
+  scan::ScanConfig sc;
+  sc.lo = lo;
+  sc.hi = hi;
+  sc.num_threads = config.num_threads;
+  sc.setting = config.setting;
+  uint64_t count = 0;
+  auto scan_result = scan::RunRowIdScan(col.raw(), col.num_values(),
+                                        result.ids(), &count, sc);
+  if (!scan_result.ok()) return scan_result.status();
+  result.set_count(count);
+  ChargeBytesMaterialized(count * sizeof(uint64_t));
+  if (rec != nullptr) {
+    rec->Record(name, scan_result.value().host_ns,
+                scan_result.value().profile, config.num_threads);
+  }
+  return result;
+}
+
 Result<RowIdList> FilterU32Range(storage::ColumnView<uint32_t> col,
                                  uint32_t lo, uint32_t hi,
                                  const QueryConfig& config, OpRecorder* rec,
                                  const std::string& name) {
-  auto out = RowIdList::Allocate(col.num_values(), config);
-  if (!out.ok()) return out.status();
-  RowIdList result = std::move(out).value();
-
-  const int threads = config.num_threads;
-  std::vector<uint64_t> counts(threads, 0);
-  std::vector<Range> ranges(threads);
-  std::vector<Status> thread_status(threads);
-  WallTimer timer;
-  Status run_status = ParallelRun(threads, [&](int tid) {
-    Range r = SplitRange(col.num_values(), threads, tid);
-    ranges[tid] = r;
-    uint64_t* dst = result.ids() + r.begin;
-    uint64_t k = 0;
-    // One run for resident views, one per pinned partition for paged.
-    thread_status[tid] = storage::ForEachRun(
-        col, r.begin, r.end,
-        [&](const uint32_t* run, size_t base, size_t n) {
-          for (size_t j = 0; j < n; ++j) {
-            // Branchless conditional append (autovectorizes well).
-            dst[k] = base + j;
-            k += (run[j] >= lo && run[j] <= hi) ? 1 : 0;
-          }
-        });
-    counts[tid] = k;
-  });
-  SGXB_RETURN_NOT_OK(run_status);
-  for (const Status& s : thread_status) SGXB_RETURN_NOT_OK(s);
-  uint64_t total = counts[0];
-  for (int t = 1; t < threads; ++t) {
-    if (counts[t] > 0 && ranges[t].begin != total) {
-      std::move(result.ids() + ranges[t].begin,
-                result.ids() + ranges[t].begin + counts[t],
-                result.ids() + total);
-    }
-    total += counts[t];
-  }
-  result.set_count(total);
-  ChargeBytesMaterialized(total * sizeof(uint64_t));
-
-  if (rec != nullptr) {
-    perf::AccessProfile p;
-    p.seq_read_bytes = col.size_bytes();
-    p.seq_write_bytes = total * sizeof(uint64_t);
-    p.loop_iterations = col.num_values();
-    p.ilp = perf::IlpClass::kStreaming;
-    rec->Record(name, static_cast<double>(timer.ElapsedNanos()), p,
-                threads);
-  }
-  return result;
+  return FilterRuns(col, lo, hi,
+                    scan::PickRowIdKernelU32(SimdLevel::kAvx512), config,
+                    rec, name);
 }
 
 Result<RowIdList> RefineU8InSet(const RowIdList& in,

@@ -21,6 +21,7 @@
 #include "mem/enclave_resource.h"
 #include "obs/trace.h"
 #include "perf/access_profile.h"
+#include "scan/scan_kernels.h"
 #include "sgx/enclave.h"
 #include "storage/column_view.h"
 
@@ -57,9 +58,6 @@ struct QueryConfig {
   /// concurrent queries get disjoint QueryReports.
   int obs_domain = -1;
 };
-
-/// \brief Resolves QueryConfig::pipeline against SGXBENCH_PIPELINE.
-bool PipelineEnabled(const QueryConfig& config);
 
 /// \brief Returns `config` with every env-defaulted knob pinned to its
 /// current resolved value: pipeline (SGXBENCH_PIPELINE), probe_mode
@@ -138,7 +136,8 @@ Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
                                 const QueryConfig& config, OpRecorder* rec,
                                 const std::string& name);
 
-/// \brief sigma(lo <= col <= hi) over a uint32 column.
+/// \brief sigma(lo <= col <= hi) over a uint32 column via the SIMD u32
+/// row-id kernel.
 Result<RowIdList> FilterU32Range(storage::ColumnView<uint32_t> col,
                                  uint32_t lo, uint32_t hi,
                                  const QueryConfig& config, OpRecorder* rec,
@@ -220,11 +219,9 @@ Result<std::vector<uint64_t>> GroupCountU8ViaFk(
     const RowIdList& rows, int num_groups, const QueryConfig& config,
     OpRecorder* rec, const std::string& name);
 
-/// \brief Per-group count and sum (Q1-style aggregate).
-struct GroupAgg {
-  uint64_t count = 0;
-  uint64_t sum = 0;
-};
+/// \brief Per-group count and sum (Q1-style aggregate); the same type
+/// the fused path's gather kernels aggregate into.
+using GroupAgg = scan::GroupCountSum;
 
 /// \brief GROUP BY (g1, g2) computing count(*) and sum(value) per group;
 /// the group index is g1[id] * num_g2 + g2[id]. `rows` may be null for

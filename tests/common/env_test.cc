@@ -149,8 +149,8 @@ TEST(EnvTest, ResolveKnobPrecedenceIsConfigEnvFallback) {
 }
 
 TEST(EnvTest, ResolveKnobDrivesEnvBoolOptEndToEnd) {
-  // The shared-resolver contract used by tpch::PipelineEnabled and the
-  // planner: ResolveKnob(config.pipeline, EnvBoolOpt(...), false).
+  // The config > env > fallback contract the knob resolvers share, shown
+  // on a boolean pipeline-style knob read through EnvBoolOpt.
   {
     EnvGuard g("SGXB_TEST_RESOLVE_PIPE", "1");
     EXPECT_TRUE(ResolveKnob<bool>(std::nullopt,
