@@ -5,24 +5,35 @@
 //                      [--setting plain|sgx-in|sgx-out] [--reference]
 //                      [--materialize] [--skew THETA]
 //   sgxbench_cli scan  [--mb N] [--threads N] [--sel PCT] [--rowids]
-//   sgxbench_cli query <3|10|12|19|12g> [--sf F] [--threads N]
+//   sgxbench_cli query <N|12g> [--sf F] [--threads N]
 //                      [--setting plain|sgx-in]
+//
+// `query` runs any plan-catalog query by number (plan/catalog.h; 12g is
+// the grouped Q12, number 112), then prints the planner's explain output
+// for the configuration it ran with.
 //
 // A thin driver over the public API — handy for exploring parameter
 // spaces that the fixed bench binaries do not sweep.
 
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
 
 #include "core/sgxbench.h"
+#include "plan/catalog.h"
+#include "plan/planner.h"
 
 using namespace sgxb;
 
 namespace {
 
 int Usage() {
+  std::string queries;
+  for (const plan::CatalogEntry& e : plan::Catalog()) {
+    queries += std::to_string(e.query_number) + "|";
+  }
   std::fprintf(
       stderr,
       "usage:\n"
@@ -31,8 +42,9 @@ int Usage() {
       "               [--mb BUILD PROBE] [--setting plain|sgx-in|sgx-out]\n"
       "               [--reference] [--materialize] [--skew THETA]\n"
       "  sgxbench_cli scan [--mb N] [--threads N] [--sel PCT] [--rowids]\n"
-      "  sgxbench_cli query <3|10|12|19|12g> [--sf F] [--threads N]\n"
-      "               [--setting plain|sgx-in]\n");
+      "  sgxbench_cli query <%s12g> [--sf F] [--threads N]\n"
+      "               [--setting plain|sgx-in]\n",
+      queries.c_str());
   return 2;
 }
 
@@ -219,6 +231,14 @@ int RunScan(const Args& args) {
 }
 
 int RunQueryCmd(const Args& args) {
+  const std::string& q = args.positional[1];
+  int number = plan::kQueryQ12Grouped;
+  if (q != "12g") {
+    char* end = nullptr;
+    number = static_cast<int>(std::strtol(q.c_str(), &end, 10));
+    if (end == q.c_str() || *end != '\0') return Usage();
+  }
+
   tpch::GenConfig gen;
   gen.scale_factor = args.sf;
   tpch::TpchDb db = tpch::Generate(gen).value();
@@ -231,13 +251,7 @@ int RunQueryCmd(const Args& args) {
   cfg.setting = args.setting;
   cfg.enclave = enclave;
 
-  const std::string& q = args.positional[1];
-  Result<tpch::QueryResult> r = Status::InvalidArgument("unknown query");
-  if (q == "12g") {
-    r = tpch::RunQ12Grouped(db, cfg);
-  } else {
-    r = tpch::RunQuery(std::atoi(q.c_str()), db, cfg);
-  }
+  Result<tpch::QueryResult> r = tpch::RunQuery(number, db, cfg);
   if (!r.ok()) {
     std::fprintf(stderr, "query failed: %s\n",
                  r.status().ToString().c_str());
@@ -247,12 +261,22 @@ int RunQueryCmd(const Args& args) {
   std::printf("Q%s at SF %.2f: count=%llu in %s\n", q.c_str(), args.sf,
               static_cast<unsigned long long>(r.value().count),
               core::FormatNanos(r.value().host_ns).c_str());
-  if (!r.value().group_counts.empty()) {
+  const std::vector<uint64_t>& groups = r.value().group_counts;
+  if (number == plan::kQueryQ12Grouped) {
     std::printf("  groups: high=%llu low=%llu\n",
-                static_cast<unsigned long long>(r.value().group_counts[0]),
-                static_cast<unsigned long long>(
-                    r.value().group_counts[1]));
+                static_cast<unsigned long long>(groups[0]),
+                static_cast<unsigned long long>(groups[1]));
+  } else if (!groups.empty()) {
+    std::printf("  groups:");
+    for (uint64_t g : groups) {
+      std::printf(" %llu", static_cast<unsigned long long>(g));
+    }
+    std::printf("\n");
   }
+  const plan::Plan& query_plan = plan::FindQuery(number)->plan;
+  const plan::PlanDecisions decisions =
+      plan::DecideFor(query_plan, tpch::ViewOf(db), cfg);
+  std::printf("%s", plan::Explain(query_plan, decisions).c_str());
   sgx::DestroyEnclave(enclave);
   return 0;
 }

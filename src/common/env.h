@@ -32,7 +32,7 @@ int64_t EnvInt(const char* name, int64_t fallback,
 uint64_t EnvUint(const char* name, uint64_t fallback,
                  uint64_t lo = 0, uint64_t hi = UINT64_MAX);
 
-/// \brief Floating-point knob in [lo, hi] (calibration overrides).
+/// \brief Floating-point knob in [lo, hi].
 double EnvDouble(const char* name, double fallback, double lo, double hi);
 
 /// \brief Boolean knob: "1"/"true"/"on"/"yes" -> true, "0"/"false"/"off"/
@@ -41,24 +41,9 @@ double EnvDouble(const char* name, double fallback, double lo, double hi);
 bool EnvBool(const char* name, bool fallback);
 
 /// \brief Tri-state boolean knob: nullopt when unset OR malformed (with
-/// the one-time warning), so a garbage value falls through to whatever
-/// the caller's next precedence tier is instead of silently forcing one
-/// branch. This is the form knob *resolvers* want; EnvBool stays for
-/// call-sites with a fixed default.
+/// the one-time warning), so a garbage value falls through to the
+/// caller's own default instead of silently forcing one branch.
 std::optional<bool> EnvBoolOpt(const char* name);
-
-/// \brief The one knob-precedence rule every layer must share:
-/// explicit per-call config beats the environment beats the computed
-/// fallback. tpch::ResolvedQueryConfig and the planner used to each
-/// re-implement this with subtly different tie-breaking; route every
-/// config-vs-env knob through here instead.
-template <typename T>
-T ResolveKnob(const std::optional<T>& config_value,
-              const std::optional<T>& env_value, T fallback) {
-  if (config_value.has_value()) return *config_value;
-  if (env_value.has_value()) return *env_value;
-  return fallback;
-}
 
 namespace internal {
 /// \brief Emits the malformed-knob warning at most once per variable name

@@ -29,7 +29,7 @@ struct ThreadPlacement {
   std::function<int(int tid)> node_of_thread;
   /// Pin to physical cores when possible (ignored if host is too small).
   /// Pool workers are always pinned at birth; this flag only affects the
-  /// spawn fallback paths (nested gangs, SGXBENCH_EXECUTOR=spawn).
+  /// spawn fallback paths (nested gangs, exec::DispatchMode::kSpawn).
   bool pin_threads = false;
 };
 

@@ -6,7 +6,6 @@
 #include <string>
 
 #include "common/cpu_info.h"
-#include "common/env.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sgx/transition.h"
@@ -20,19 +19,7 @@ namespace {
 thread_local bool t_on_pool_worker = false;
 thread_local int t_numa_node = 0;
 
-std::atomic<int> g_dispatch_mode{-1};  // -1 = uninitialized
-
-DispatchMode InitialDispatchMode() {
-  auto v = EnvString("SGXBENCH_EXECUTOR");
-  if (v.has_value()) {
-    if (*v == "spawn") return DispatchMode::kSpawn;
-    if (*v != "pool") {
-      sgxb::internal::WarnOnce("SGXBENCH_EXECUTOR",
-                             "expected \"pool\" or \"spawn\"; using pool");
-    }
-  }
-  return DispatchMode::kPool;
-}
+std::atomic<DispatchMode> g_dispatch_mode{DispatchMode::kPool};
 
 // Scheduling activity mirrored into the obs registry so per-query reports
 // can diff it over a query window. ExecutorStats keeps the per-instance
@@ -104,26 +91,11 @@ Status CheckEnclaveHygiene(int tid, Status st) {
 }  // namespace
 
 DispatchMode dispatch_mode() {
-  int m = g_dispatch_mode.load(std::memory_order_relaxed);
-  if (m < 0) {
-    // First reader resolves the env knob. CAS instead of a plain store:
-    // a blind store could overwrite a concurrent SetDispatchMode() with
-    // the stale env-derived value (a lost update two overlapping queries
-    // would actually hit when one flips the mode mid-stream).
-    int expected = -1;
-    const int initial = static_cast<int>(InitialDispatchMode());
-    if (g_dispatch_mode.compare_exchange_strong(expected, initial,
-                                                std::memory_order_relaxed)) {
-      m = initial;
-    } else {
-      m = expected;
-    }
-  }
-  return static_cast<DispatchMode>(m);
+  return g_dispatch_mode.load(std::memory_order_relaxed);
 }
 
 void SetDispatchMode(DispatchMode mode) {
-  g_dispatch_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
+  g_dispatch_mode.store(mode, std::memory_order_relaxed);
 }
 
 struct Executor::GangState {

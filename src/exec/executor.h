@@ -80,9 +80,8 @@ enum class DispatchMode {
   kSpawn = 1,
 };
 
-/// \brief Process-wide dispatch mode. Defaults to kPool; the environment
-/// variable SGXBENCH_EXECUTOR=spawn flips the initial value, and benchmarks
-/// may switch it at runtime (takes effect for subsequent gangs).
+/// \brief Process-wide dispatch mode. Defaults to kPool; the executor
+/// ablation switches it at runtime (takes effect for subsequent gangs).
 DispatchMode dispatch_mode();
 void SetDispatchMode(DispatchMode mode);
 

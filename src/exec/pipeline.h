@@ -11,8 +11,8 @@
 // breakers (hash-table builds, final aggregates) write anything global.
 //
 // The driver owns the per-lane scratch and the parallel loop; the fused
-// operator chain itself is the caller's morsel body (tpch/pipelines.cc
-// composes them per query). Lanes optionally run under a ScopedEcall so
+// operator chain itself is the caller's morsel body (plan/fused.cc
+// composes them per plan). Lanes optionally run under a ScopedEcall so
 // enclave entry is charged once per lane, exactly like the materializing
 // operators.
 

@@ -35,19 +35,16 @@
 // A cursor may complete during Reset() (empty structure) by exposing a
 // null target. Drivers never dereference Target(); they only prefetch it.
 //
-// Knob resolution: the mode comes from JoinConfig/QueryConfig (default
-// from SGXBENCH_PROBE_MODE), sizes from perf::CalibrationParams
-// (SGXBENCH_PROBE_BATCH / SGXBENCH_PROBE_DIST) unless the caller pins
-// them. For AMAC the ring width *is* the prefetch distance: a state's
-// prefetch is issued roughly W visits before its use.
+// Resolution: the mode comes from JoinConfig/QueryConfig (unset = derived
+// from the kernel flavour), sizes from perf::CalibrationParams unless the
+// caller pins them. For AMAC the ring width *is* the prefetch distance: a
+// state's prefetch is issued roughly W visits before its use.
 
 #ifndef SGXB_EXEC_PROBE_PIPELINE_H_
 #define SGXB_EXEC_PROBE_PIPELINE_H_
 
 #include <algorithm>
-#include <cstring>
 
-#include "common/env.h"
 #include "common/prefetch.h"
 #include "common/types.h"
 
@@ -73,37 +70,6 @@ inline const char* ProbeModeToString(ProbeMode mode) {
       return "amac";
   }
   return "unknown";
-}
-
-/// \brief Parses "tuple" / "gp" / "amac" (case-sensitive, like the other
-/// SGXBENCH_* knobs); anything else falls back to `fallback`.
-inline ProbeMode ProbeModeFromString(const char* s, ProbeMode fallback) {
-  if (s == nullptr) return fallback;
-  if (std::strcmp(s, "tuple") == 0) return ProbeMode::kTupleAtATime;
-  if (std::strcmp(s, "gp") == 0) return ProbeMode::kGroupPrefetch;
-  if (std::strcmp(s, "amac") == 0) return ProbeMode::kAmac;
-  return fallback;
-}
-
-/// \brief SGXBENCH_PROBE_MODE as a ProbeMode: unset -> `fallback`
-/// silently, an unrecognized value -> `fallback` with a one-time warning.
-inline ProbeMode ProbeModeFromEnv(ProbeMode fallback) {
-  const auto v = EnvString("SGXBENCH_PROBE_MODE");
-  if (!v.has_value()) return fallback;
-  if (*v != "tuple" && *v != "gp" && *v != "amac") {
-    sgxb::internal::WarnOnce(
-        "SGXBENCH_PROBE_MODE",
-        "expected \"tuple\", \"gp\", or \"amac\"; using the default");
-    return fallback;
-  }
-  return ProbeModeFromString(v->c_str(), fallback);
-}
-
-/// \brief Process-default probe mode: SGXBENCH_PROBE_MODE, else batched
-/// (group prefetching) — the optimized configuration, like
-/// KernelFlavor::kUnrolledReordered is for the partitioning loops.
-inline ProbeMode DefaultProbeMode() {
-  return ProbeModeFromEnv(ProbeMode::kGroupPrefetch);
 }
 
 /// \brief Hard cap on group size / ring width; drivers and callers clamp

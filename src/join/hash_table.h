@@ -2,7 +2,7 @@
 //
 // Extracted from the PHT join so that every consumer of a latched-build /
 // latch-free-probe chained table — PhtJoin itself and the fused TPC-H
-// pipelines (exec/pipeline.h, tpch/pipelines.cc) — runs one
+// pipelines (exec/pipeline.h, plan/fused.cc) — runs one
 // implementation. The table does not own its memory: callers carve the
 // bucket + overflow arrays from a JoinScratch / Arena / resource buffer
 // (sized by BytesFor) so allocation policy and enclave accounting stay

@@ -6,9 +6,9 @@ namespace sgxb::join {
 
 exec::ProbeMode EffectiveProbeMode(const JoinConfig& config) {
   if (config.probe_mode.has_value()) return *config.probe_mode;
-  return exec::ProbeModeFromEnv(config.flavor == KernelFlavor::kReference
-                                    ? exec::ProbeMode::kTupleAtATime
-                                    : exec::ProbeMode::kGroupPrefetch);
+  return config.flavor == KernelFlavor::kReference
+             ? exec::ProbeMode::kTupleAtATime
+             : exec::ProbeMode::kGroupPrefetch;
 }
 
 int EffectiveProbeWidth(const JoinConfig& config, exec::ProbeMode mode) {

@@ -80,12 +80,13 @@ struct JoinConfig {
   int crack_bits = 12;
 
   /// Probe-loop scheduling (exec/probe_pipeline.h, docs/prefetching.md).
-  /// Unset = SGXBENCH_PROBE_MODE if present, else derived from `flavor`:
-  /// the reference flavour probes tuple-at-a-time (the paper's Listing-1
-  /// behaviour), the optimized flavour uses group prefetching.
+  /// Unset = derived from `flavor`: the reference flavour probes
+  /// tuple-at-a-time (the paper's Listing-1 behaviour), the optimized
+  /// flavour uses group prefetching.
   std::optional<exec::ProbeMode> probe_mode;
   /// Group size (group prefetch) / ring width (AMAC). 0 = the calibrated
-  /// default (SGXBENCH_PROBE_BATCH / SGXBENCH_PROBE_DIST).
+  /// default (CalibrationParams::probe_batch_size /
+  /// probe_prefetch_distance).
   int probe_batch = 0;
 
   /// Memory resource every intermediate and materialized chunk comes
@@ -128,7 +129,7 @@ class JoinScratch {
 };
 
 /// \brief Probe scheduling a join actually uses for `config` (resolves
-/// the env/flavour defaults described at JoinConfig::probe_mode).
+/// the flavour default described at JoinConfig::probe_mode).
 exec::ProbeMode EffectiveProbeMode(const JoinConfig& config);
 
 /// \brief Resolved group size / ring width for `mode`, from

@@ -3,7 +3,6 @@
 #include <cassert>
 #include <cstdint>
 
-#include "common/env.h"
 #include "mem/arena_pool.h"
 #include "obs/metrics.h"
 
@@ -26,20 +25,13 @@ obs::Counter& CtrArenaChunks() {
 }
 }  // namespace
 
-size_t DefaultArenaChunkBytes() {
-  static const size_t bytes = static_cast<size_t>(
-      EnvUint("SGXBENCH_ARENA_CHUNK", size_t{2} * 1024 * 1024,
-              /*lo=*/4096, /*hi=*/uint64_t{1} << 40));
-  return bytes;
-}
-
 Arena::Arena(MemoryResource* resource, size_t chunk_bytes, ArenaPool* pool)
     : resource_(resource), pool_(pool) {
   assert(resource_ != nullptr);
   assert(pool_ == nullptr || pool_->resource() == resource_);
   chunk_bytes_ = chunk_bytes != 0 ? chunk_bytes
                  : pool_ != nullptr ? pool_->chunk_bytes()
-                                    : DefaultArenaChunkBytes();
+                                    : kDefaultArenaChunkBytes;
 }
 
 Arena::~Arena() { ReleaseChunksAfter(0); }

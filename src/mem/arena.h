@@ -2,12 +2,12 @@
 //
 // Operators allocate per-phase scratch (partitions, histograms, hash
 // tables, temp buffers) from an Arena instead of making one resource
-// allocation per structure. The arena grabs chunks (default 2 MiB,
-// SGXBENCH_ARENA_CHUNK) from its resource — or from an ArenaPool for warm
-// reuse across queries — and serves 64-byte-aligned carve-outs by bumping
-// an offset. ArenaCheckpoint captures the high-water mark so a finished
-// phase's memory can be rolled back: whole chunks past the checkpoint go
-// back to the pool (or resource) immediately.
+// allocation per structure. The arena grabs chunks (default 2 MiB) from
+// its resource — or from an ArenaPool for warm reuse across queries — and
+// serves 64-byte-aligned carve-outs by bumping an offset. ArenaCheckpoint
+// captures the high-water mark so a finished phase's memory can be rolled
+// back: whole chunks past the checkpoint go back to the pool (or resource)
+// immediately.
 //
 // Not thread-safe: one Arena per owner (a join invocation, a query, a
 // worker). Concurrent operators share chunks through a (thread-safe)
@@ -25,8 +25,8 @@ namespace sgxb::mem {
 
 class ArenaPool;
 
-/// \brief 2 MiB unless overridden by SGXBENCH_ARENA_CHUNK (bytes).
-size_t DefaultArenaChunkBytes();
+/// \brief Chunk size of arenas and pools that are not given one.
+inline constexpr size_t kDefaultArenaChunkBytes = size_t{2} * 1024 * 1024;
 
 /// \brief Position marker for scoped rollback (see Arena::Save).
 struct ArenaCheckpoint {
@@ -37,7 +37,7 @@ struct ArenaCheckpoint {
 class Arena {
  public:
   /// \brief `chunk_bytes` 0 = the pool's chunk size if `pool` is given,
-  /// else DefaultArenaChunkBytes(). With a pool, chunks are acquired from
+  /// else kDefaultArenaChunkBytes. With a pool, chunks are acquired from
   /// and released to it (warm reuse); the pool's resource must match.
   explicit Arena(MemoryResource* resource, size_t chunk_bytes = 0,
                  ArenaPool* pool = nullptr);

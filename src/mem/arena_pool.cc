@@ -2,7 +2,6 @@
 
 #include <cassert>
 
-#include "common/env.h"
 #include "mem/arena.h"
 #include "obs/metrics.h"
 
@@ -23,13 +22,9 @@ obs::Counter& CtrPoolMisses() {
 }
 }  // namespace
 
-bool ArenaReuseEnabled() { return EnvBool("SGXBENCH_ARENA_REUSE", true); }
-
 ArenaPool::ArenaPool(MemoryResource* resource, size_t chunk_bytes)
     : resource_(resource),
-      chunk_bytes_(chunk_bytes != 0 ? chunk_bytes
-                                    : DefaultArenaChunkBytes()),
-      reuse_(ArenaReuseEnabled()) {
+      chunk_bytes_(chunk_bytes != 0 ? chunk_bytes : kDefaultArenaChunkBytes) {
   assert(resource_ != nullptr);
 }
 
@@ -66,7 +61,6 @@ void ArenaPool::Release(AlignedBuffer chunk) {
   std::lock_guard<std::mutex> lock(mu_);
   --outstanding_chunks_;
   ++released_;
-  if (!reuse_) return;  // dropped: chunk's own release path frees/credits
   cached_bytes_ += chunk.size();
   cache_.emplace(chunk.size(), std::move(chunk));
 }

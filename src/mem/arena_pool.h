@@ -7,10 +7,6 @@
 // pool, a dynamic (edmm_trim) enclave trims freed pages after every query
 // and re-pays the per-page commit cost on the next one.
 //
-// SGXBENCH_ARENA_REUSE=0 disables caching (Release frees immediately),
-// which turns a pooled configuration back into per-query growth without
-// touching code — the ablation knob bench_ablation_arena sweeps.
-//
 // Thread-safe; multiple Arenas (one per worker/query) may share a pool.
 //
 // Lifetime: cached chunks credit their resource when dropped, so a pool
@@ -28,9 +24,6 @@
 
 namespace sgxb::mem {
 
-/// \brief True unless SGXBENCH_ARENA_REUSE is "0"/"off"/"false".
-bool ArenaReuseEnabled();
-
 class ArenaPool {
  public:
   struct Stats {
@@ -45,7 +38,7 @@ class ArenaPool {
     size_t cached_bytes = 0;
   };
 
-  /// \brief `chunk_bytes` 0 = DefaultArenaChunkBytes() (arena.h).
+  /// \brief `chunk_bytes` 0 = kDefaultArenaChunkBytes (arena.h).
   explicit ArenaPool(MemoryResource* resource, size_t chunk_bytes = 0);
   ~ArenaPool() = default;
 
@@ -56,8 +49,7 @@ class ArenaPool {
   /// multiple): cached if one fits, else freshly allocated.
   Result<AlignedBuffer> Acquire(size_t min_bytes);
 
-  /// \brief Returns a chunk for reuse. With reuse disabled the chunk is
-  /// dropped (freed / credited through its own release path) instead.
+  /// \brief Returns a chunk for reuse.
   void Release(AlignedBuffer chunk);
 
   /// \brief Drops all cached chunks (e.g. to shed enclave heap).
@@ -70,7 +62,6 @@ class ArenaPool {
  private:
   MemoryResource* resource_;
   size_t chunk_bytes_;
-  bool reuse_;
   mutable std::mutex mu_;
   std::multimap<size_t, AlignedBuffer> cache_;
   uint64_t reuse_hits_ = 0;

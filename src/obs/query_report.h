@@ -75,7 +75,7 @@ struct QueryReport {
   uint64_t morsel_steals = 0;
 
   // Intermediate bytes written to operator outputs (tpch/operators.cc) or
-  // pipeline-breaker sinks (tpch/pipelines.cc) — the traffic the fused
+  // pipeline-breaker sinks (plan/fused.cc) — the traffic the fused
   // execution mode avoids (docs/pipelines.md).
   uint64_t bytes_materialized = 0;
 

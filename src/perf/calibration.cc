@@ -1,80 +1,12 @@
 #include "perf/calibration.h"
 
 #include <cstdio>
-#include <cstdlib>
-#include <limits>
-#include <map>
-#include <type_traits>
 
 #include "common/cpu_info.h"
-#include "common/env.h"
 
 namespace sgxb::perf {
 
 namespace {
-// Calibration overrides must be positive; zero or negative bandwidths and
-// penalties would divide the cost model by zero.
-constexpr double kPos = std::numeric_limits<double>::min();
-constexpr double kMax = std::numeric_limits<double>::max();
-
-double PosDouble(const char* name, double fallback) {
-  return EnvDouble(name, fallback, kPos, kMax);
-}
-
-// Every numeric field, visited with a stable name — the single source of
-// truth for the cache file format (Save writes it, Load assigns it).
-template <typename P, typename F>
-void VisitCalibrationFields(P& p, F&& f) {
-  f("sockets", p.sockets);
-  f("cores_per_socket", p.cores_per_socket);
-  f("base_frequency_hz", p.base_frequency_hz);
-  f("l1d_bytes", p.l1d_bytes);
-  f("l2_bytes", p.l2_bytes);
-  f("l3_bytes", p.l3_bytes);
-  f("epc_per_socket_bytes", p.epc_per_socket_bytes);
-  f("dram_per_socket_bytes", p.dram_per_socket_bytes);
-  f("node_read_bandwidth", p.node_read_bandwidth);
-  f("node_write_bandwidth", p.node_write_bandwidth);
-  f("core_read_bandwidth", p.core_read_bandwidth);
-  f("core_write_bandwidth", p.core_write_bandwidth);
-  f("upi_bandwidth", p.upi_bandwidth);
-  f("dram_latency_ns", p.dram_latency_ns);
-  f("remote_latency_factor", p.remote_latency_factor);
-  f("mlp_per_core", p.mlp_per_core);
-  f("random_write_cost_ns", p.random_write_cost_ns);
-  f("rand_read_relperf_floor", p.rand_read_relperf_floor);
-  f("rand_write_relperf_floor", p.rand_write_relperf_floor);
-  f("linear_read64_overhead", p.linear_read64_overhead);
-  f("linear_read512_overhead", p.linear_read512_overhead);
-  f("linear_write_overhead", p.linear_write_overhead);
-  f("ilp_penalty_reference", p.ilp_penalty_reference);
-  f("ilp_penalty_unrolled", p.ilp_penalty_unrolled);
-  f("ilp_penalty_simd", p.ilp_penalty_simd);
-  f("cycles_per_iter_reference", p.cycles_per_iter_reference);
-  f("cycles_per_iter_unrolled", p.cycles_per_iter_unrolled);
-  f("cycles_per_iter_simd", p.cycles_per_iter_simd);
-  f("transition_cycles", p.transition_cycles);
-  f("futex_syscall_cycles", p.futex_syscall_cycles);
-  f("probe_batch_size", p.probe_batch_size);
-  f("probe_prefetch_distance", p.probe_prefetch_distance);
-  f("prefetch_mlp", p.prefetch_mlp);
-  f("edmm_page_add_ns", p.edmm_page_add_ns);
-  f("upi_crypto_relperf_1thread", p.upi_crypto_relperf_1thread);
-  f("upi_crypto_relperf_saturated", p.upi_crypto_relperf_saturated);
-}
-
-// The calibration env overrides that feed FromEnv(); part of the machine
-// hash so a cache written under one override set never masks another.
-constexpr const char* kCalibrationEnvKnobs[] = {
-    "SGXBENCH_TRANSITION_CYCLES", "SGXBENCH_FUTEX_CYCLES",
-    "SGXBENCH_EDMM_PAGE_NS",      "SGXBENCH_ILP_PENALTY_REF",
-    "SGXBENCH_ILP_PENALTY_UNROLLED", "SGXBENCH_ILP_PENALTY_SIMD",
-    "SGXBENCH_RAND_READ_FLOOR",   "SGXBENCH_RAND_WRITE_FLOOR",
-    "SGXBENCH_UPI_BW",            "SGXBENCH_NODE_READ_BW",
-    "SGXBENCH_NODE_WRITE_BW",     "SGXBENCH_PROBE_BATCH",
-    "SGXBENCH_PROBE_DIST",        "SGXBENCH_PREFETCH_MLP",
-};
-
 uint64_t Fnv1a(uint64_t h, const std::string& s) {
   for (unsigned char c : s) {
     h ^= c;
@@ -93,124 +25,14 @@ std::string CalibrationMachineHash() {
   h = Fnv1a(h, std::to_string(cpu.l2_bytes));
   h = Fnv1a(h, std::to_string(cpu.l3_bytes));
   h = Fnv1a(h, std::to_string(static_cast<int>(cpu.max_simd)));
-  for (const char* knob : kCalibrationEnvKnobs) {
-    if (std::optional<std::string> v = EnvString(knob)) {
-      h = Fnv1a(h, std::string(knob) + "=" + *v);
-    }
-  }
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(h));
   return buf;
 }
 
-bool SaveCalibrationCache(const std::string& path,
-                          const CalibrationParams& p) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  std::fprintf(f, "machine_hash=%s\n", CalibrationMachineHash().c_str());
-  VisitCalibrationFields(p, [&](const char* name, const auto& v) {
-    // %.17g round-trips every double exactly; integer fields print
-    // integral and parse back losslessly far beyond any plausible value.
-    std::fprintf(f, "%s=%.17g\n", name, static_cast<double>(v));
-  });
-  return std::fclose(f) == 0;
-}
-
-std::optional<CalibrationParams> LoadCalibrationCache(
-    const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "r");
-  if (f == nullptr) return std::nullopt;
-  std::map<std::string, std::string> kv;
-  char line[256];
-  while (std::fgets(line, sizeof(line), f) != nullptr) {
-    std::string s(line);
-    while (!s.empty() && (s.back() == '\n' || s.back() == '\r')) s.pop_back();
-    const size_t eq = s.find('=');
-    if (eq == std::string::npos) continue;
-    kv[s.substr(0, eq)] = s.substr(eq + 1);
-  }
-  std::fclose(f);
-  auto hash = kv.find("machine_hash");
-  if (hash == kv.end() || hash->second != CalibrationMachineHash()) {
-    return std::nullopt;
-  }
-  CalibrationParams p;
-  bool complete = true;
-  VisitCalibrationFields(p, [&](const char* name, auto& v) {
-    auto it = kv.find(name);
-    if (it == kv.end()) {
-      complete = false;
-      return;
-    }
-    char* end = nullptr;
-    const double parsed = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0') {
-      complete = false;
-      return;
-    }
-    v = static_cast<std::remove_reference_t<decltype(v)>>(parsed);
-  });
-  if (!complete) return std::nullopt;
-  return p;
-}
-
-CalibrationParams CalibrationParams::FromEnv() {
-  CalibrationParams p;
-  p.transition_cycles =
-      EnvUint("SGXBENCH_TRANSITION_CYCLES", p.transition_cycles);
-  p.futex_syscall_cycles =
-      EnvUint("SGXBENCH_FUTEX_CYCLES", p.futex_syscall_cycles);
-  p.edmm_page_add_ns = PosDouble("SGXBENCH_EDMM_PAGE_NS", p.edmm_page_add_ns);
-  p.ilp_penalty_reference =
-      PosDouble("SGXBENCH_ILP_PENALTY_REF", p.ilp_penalty_reference);
-  p.ilp_penalty_unrolled =
-      PosDouble("SGXBENCH_ILP_PENALTY_UNROLLED", p.ilp_penalty_unrolled);
-  p.ilp_penalty_simd =
-      PosDouble("SGXBENCH_ILP_PENALTY_SIMD", p.ilp_penalty_simd);
-  p.rand_read_relperf_floor =
-      PosDouble("SGXBENCH_RAND_READ_FLOOR", p.rand_read_relperf_floor);
-  p.rand_write_relperf_floor =
-      PosDouble("SGXBENCH_RAND_WRITE_FLOOR", p.rand_write_relperf_floor);
-  p.upi_bandwidth = PosDouble("SGXBENCH_UPI_BW", p.upi_bandwidth);
-  p.node_read_bandwidth =
-      PosDouble("SGXBENCH_NODE_READ_BW", p.node_read_bandwidth);
-  p.node_write_bandwidth =
-      PosDouble("SGXBENCH_NODE_WRITE_BW", p.node_write_bandwidth);
-  p.probe_batch_size = static_cast<int>(
-      EnvInt("SGXBENCH_PROBE_BATCH", p.probe_batch_size, /*lo=*/1,
-             /*hi=*/1 << 20));
-  p.probe_prefetch_distance = static_cast<int>(
-      EnvInt("SGXBENCH_PROBE_DIST", p.probe_prefetch_distance, /*lo=*/1,
-             /*hi=*/1 << 20));
-  p.prefetch_mlp = PosDouble("SGXBENCH_PREFETCH_MLP", p.prefetch_mlp);
-  return p;
-}
-
-CalibrationParams CalibrationParams::Resolve() {
-  const std::optional<std::string> path = EnvString("SGXBENCH_CALIB_CACHE");
-  if (!path.has_value()) return FromEnv();
-  if (std::optional<CalibrationParams> cached = LoadCalibrationCache(*path)) {
-    return *cached;
-  }
-  // Missing or stale: recompute and rewrite. Only a hash mismatch on an
-  // existing file warrants the warning — a first run is just cold.
-  if (std::FILE* f = std::fopen(path->c_str(), "r")) {
-    std::fclose(f);
-    internal::WarnOnce("SGXBENCH_CALIB_CACHE",
-                       "cache at " + *path +
-                           " has a stale machine-model hash; recalibrating");
-  }
-  const CalibrationParams p = FromEnv();
-  if (!SaveCalibrationCache(*path, p)) {
-    internal::WarnOnce("SGXBENCH_CALIB_CACHE",
-                       "cannot write calibration cache at " + *path);
-  }
-  return p;
-}
-
 const CalibrationParams& CalibrationParams::Default() {
-  static const CalibrationParams kParams = Resolve();
+  static const CalibrationParams kParams;
   return kParams;
 }
 

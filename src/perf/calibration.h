@@ -3,16 +3,15 @@
 // The reproduction environment has no SGX hardware, so every SGX-specific
 // performance effect is modeled. The default constants below are taken
 // directly from the paper's own micro-benchmark measurements (figure
-// references inline) and from the Table 1 hardware description. Every value
-// can be overridden with an SGXBENCH_* environment variable so the model
-// can be re-calibrated against real SGXv2 hardware without recompiling.
+// references inline) and from the Table 1 hardware description. They are
+// fixed constants: re-calibrating against real SGXv2 hardware means
+// editing the defaults below, not setting a variable at run time.
 
 #ifndef SGXB_PERF_CALIBRATION_H_
 #define SGXB_PERF_CALIBRATION_H_
 
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 #include "common/types.h"
@@ -117,39 +116,15 @@ struct CalibrationParams {
   double upi_crypto_relperf_1thread = 0.77;
   double upi_crypto_relperf_saturated = 0.96;
 
-  /// \brief Returns defaults overridden by SGXBENCH_* environment
-  /// variables (e.g. SGXBENCH_TRANSITION_CYCLES, SGXBENCH_EDMM_PAGE_NS).
-  static CalibrationParams FromEnv();
-
-  /// \brief FromEnv(), routed through the optional calibration cache
-  /// file: with SGXBENCH_CALIB_CACHE set, a cache whose machine-model
-  /// hash matches is loaded instead of re-resolving, a missing or
-  /// stale-hash cache (warn-once) is recomputed and rewritten.
-  static CalibrationParams Resolve();
-
-  /// \brief Process-wide instance used unless a caller injects its own
-  /// (memoized Resolve()).
+  /// \brief Process-wide instance used unless a caller injects its own:
+  /// the defaults above.
   static const CalibrationParams& Default();
 };
 
-/// \brief Fingerprint of everything the resolved calibration depends on:
-/// the host CPU identity (model, cores, cache sizes) plus every
-/// SGXBENCH_* calibration override present in the environment. A cache
-/// written on one machine model — or under different overrides — hashes
-/// differently and is treated as stale.
+/// \brief Fingerprint of the host CPU identity (model, cores, cache
+/// sizes, SIMD level), printed next to model results so numbers from
+/// different machines are not compared by accident.
 std::string CalibrationMachineHash();
-
-/// \brief Writes `p` (plus the current machine hash) to `path` in a
-/// key=value text format. Returns false on I/O failure.
-bool SaveCalibrationCache(const std::string& path,
-                          const CalibrationParams& p);
-
-/// \brief Loads a calibration cache. nullopt when the file is missing,
-/// unparseable, or its recorded machine hash does not match
-/// CalibrationMachineHash() (the stale case — callers warn and
-/// recompute).
-std::optional<CalibrationParams> LoadCalibrationCache(
-    const std::string& path);
 
 }  // namespace sgxb::perf
 

@@ -59,6 +59,37 @@ inline constexpr int kQueryQ5Multiway = 105;
 inline constexpr int kQueryQ5Grouped = 106;
 inline constexpr int kQueryQ12Grouped = 112;
 
+// The queries, by number (tpch::RunQuery(n, db, config)). `count` is the
+// final count(*) unless stated otherwise.
+//   1    Q1, pricing summary: pure scan + GROUP BY (returnflag,
+//        linestatus) with count(*) and sum(quantity) per group over
+//        lineitem rows with shipdate <= 1998-09-02. group_counts holds
+//        the per-group counts (flag * kNumLineStatuses + status); `count`
+//        is their total.
+//   3    Q3, shipping priority: customer (mktsegment = BUILDING) JOIN
+//        orders (orderdate < 1995-03-15) JOIN lineitem (shipdate >
+//        1995-03-15).
+//   6    Q6, forecasting revenue: pure scan, sum(extendedprice * discount)
+//        over shipdate in 1994, discount in [5, 7], quantity < 24.
+//        `count` holds the qualifying row count and group_counts[0] the
+//        revenue sum.
+//   10   Q10, returned items: customer JOIN orders (orderdate in
+//        [1993-10-01, 1994-01-01)) JOIN lineitem (returnflag = 'R').
+//   12   Q12, shipping modes: orders JOIN lineitem (shipmode in {MAIL,
+//        SHIP}, commitdate < receiptdate, shipdate < commitdate,
+//        receiptdate in [1994-01-01, 1995-01-01)).
+//   19   Q19, discounted revenue: part JOIN lineitem with the disjunction
+//        of three brand/container/quantity/size branches, executed as
+//        three disjoint joins (the branches select distinct brands) whose
+//        counts sum.
+//   105  Q5M: customer (mktsegment = AUTOMOBILE) JOIN orders (orderdate
+//        in 1994) JOIN lineitem.
+//   106  Q5G: the Q5M join, counted per order priority in group_counts.
+//   112  Q12G: Q12 with its real GROUP BY final — line counts per
+//        priority class (group 0 = high: URGENT/HIGH orders; group 1 =
+//        low). The paper replaces this aggregation with count(*); this
+//        restores it.
+
 /// \brief One catalog query: a number for RunQuery-style dispatch, a
 /// report name, and the validated plan.
 struct CatalogEntry {

@@ -1,15 +1,15 @@
 // Logical query plans (docs/planner.md).
 //
 // The paper's workload layer hard-coded every query twice: a
-// materializing operator-at-a-time body (tpch/queries.cc) and a
-// hand-fused morsel pipeline (tpch/pipelines.cc). This layer replaces
-// both with one declarative representation: an immutable tree of plan
-// nodes (scan / hash-join / union-all / aggregate) over the integer
-// TPC-H schema, built through PlanBuilder and validated once at
-// construction. The planner (plan/planner.h) lowers a Plan to either
-// execution mode, choosing join flavour, probe scheduling, and breaker
-// placement from the calibrated cost model — so new queries are catalog
-// entries (plan/catalog.h), not new driver code.
+// materializing operator-at-a-time body and a hand-fused morsel
+// pipeline. This layer replaces both with one declarative
+// representation: an immutable tree of plan nodes (scan / hash-join /
+// union-all / aggregate) over the integer TPC-H schema, built through
+// PlanBuilder and validated once at construction. The planner
+// (plan/planner.h) lowers a Plan to either execution mode, choosing join
+// flavour, probe scheduling, and breaker placement from the calibrated
+// cost model — so new queries are catalog entries (plan/catalog.h), not
+// new driver code.
 
 #ifndef SGXB_PLAN_PLAN_H_
 #define SGXB_PLAN_PLAN_H_

@@ -1,20 +1,16 @@
 #include "plan/planner.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <optional>
 #include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/env.h"
 #include "common/timer.h"
 #include "join/cht_join.h"
 #include "join/hash_table.h"
 #include "join/pht_join.h"
-#include "obs/metrics.h"
-#include "obs/trace.h"
 #include "perf/cost_model.h"
 #include "tpch/operators.h"
 
@@ -163,18 +159,6 @@ perf::AccessProfile JoinProfile(join::JoinAlgorithm algo, double build_rows,
   return p;
 }
 
-std::optional<join::JoinAlgorithm> ForcedJoinAlgo() {
-  std::optional<std::string> v = EnvString("SGXBENCH_JOIN_ALGO");
-  if (!v) return std::nullopt;
-  std::string s = *v;
-  std::transform(s.begin(), s.end(), s.begin(),
-                 [](unsigned char c) { return std::tolower(c); });
-  if (s == "rho") return join::JoinAlgorithm::kRho;
-  if (s == "pht") return join::JoinAlgorithm::kPht;
-  if (s == "cht") return join::JoinAlgorithm::kCht;
-  return std::nullopt;
-}
-
 // --- Whole-plan mode costing ----------------------------------------------
 // Per node, the cost the two lowerings do NOT share: the materializing
 // path pays a write + re-read round trip for every row-id list, gathered
@@ -278,7 +262,7 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
   d.joins.assign(num_nodes, JoinChoice{});
   if (!plan.valid()) return d;
 
-  // Probe scheduling resolves exactly like the joins' own knobs.
+  // Probe scheduling resolves exactly as the joins resolve their own.
   {
     join::JoinConfig jc;
     jc.flavor = config.flavor;
@@ -291,7 +275,6 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
   EstimateRows(plan, db, plan.root(), &d.est_rows);
 
   const bool batched = d.probe_mode != exec::ProbeMode::kTupleAtATime;
-  const std::optional<join::JoinAlgorithm> forced = ForcedJoinAlgo();
   const perf::CostModel& model = perf::CostModel::Reference();
   const perf::ExecutionEnv env = EnvOf(config);
   for (size_t id = 0; id < num_nodes; ++id) {
@@ -300,37 +283,26 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
     const double build_rows = d.est_rows[static_cast<size_t>(n.build)];
     const double probe_rows = d.est_rows[static_cast<size_t>(n.probe)];
     JoinChoice& choice = d.joins[id];
-    if (forced) {
-      choice.algo = *forced;
-      choice.cost_ns = model.EstimateNanos(
-          JoinProfile(choice.algo, build_rows, probe_rows, batched), env);
-    } else {
-      const join::JoinAlgorithm candidates[] = {join::JoinAlgorithm::kRho,
-                                                join::JoinAlgorithm::kPht,
-                                                join::JoinAlgorithm::kCht};
-      for (join::JoinAlgorithm algo : candidates) {
-        const double cost = model.EstimateNanos(
-            JoinProfile(algo, build_rows, probe_rows, batched), env);
-        if (choice.cost_ns == 0 || cost < choice.cost_ns) {
-          choice.algo = algo;
-          choice.cost_ns = cost;
-        }
+    const join::JoinAlgorithm candidates[] = {join::JoinAlgorithm::kRho,
+                                              join::JoinAlgorithm::kPht,
+                                              join::JoinAlgorithm::kCht};
+    for (join::JoinAlgorithm algo : candidates) {
+      const double cost = model.EstimateNanos(
+          JoinProfile(algo, build_rows, probe_rows, batched), env);
+      if (choice.cost_ns == 0 || cost < choice.cost_ns) {
+        choice.algo = algo;
+        choice.cost_ns = cost;
       }
-      choice.cost_based = true;
     }
   }
 
   EstimateModeCosts(plan, db, config, &d);
 
-  // Execution mode: explicit config wins, then SGXBENCH_PIPELINE if the
-  // user set it (a malformed value warns once and is treated as unset),
-  // then the cost model. Plans the fused lowering cannot drive (a join
-  // probing a non-scan) always materialize.
-  const std::optional<bool> forced_mode = config.pipeline.has_value()
-                                              ? config.pipeline
-                                              : EnvBoolOpt("SGXBENCH_PIPELINE");
-  if (forced_mode.has_value()) {
-    d.fused = *forced_mode;
+  // Execution mode: explicit config wins, then the cost model. Plans the
+  // fused lowering cannot drive (a join probing a non-scan) always
+  // materialize.
+  if (config.pipeline.has_value()) {
+    d.fused = *config.pipeline;
   } else if (FusedLowerable(plan)) {
     d.fused = d.fused_cost_ns < d.materializing_cost_ns;
     d.mode_cost_based = true;
@@ -375,8 +347,7 @@ void DumpNode(const Plan& plan, const PlanDecisions& d, int id, int depth,
     case PlanNode::Kind::kJoin: {
       const JoinChoice& c = d.joins[static_cast<size_t>(id)];
       os << "Join(" << ColName(n.build_key) << " = " << ColName(n.probe_key)
-         << ") [" << join::JoinAlgorithmToString(c.algo)
-         << (c.cost_based ? ", cost-based" : "") << ", est_cost="
+         << ") [" << join::JoinAlgorithmToString(c.algo) << ", est_cost="
          << static_cast<uint64_t>(c.cost_ns) << "ns] ~"
          << static_cast<uint64_t>(d.est_rows[static_cast<size_t>(id)])
          << " rows\n";
@@ -736,20 +707,8 @@ Result<QueryResult> ExecutePlan(const Plan& plan,
     return Status::InvalidArgument("cannot execute an invalid plan");
   }
   const PlanDecisions decisions = DecideFor(plan, db, config);
-  std::string explain;
-  if (EnvBool("SGXBENCH_EXPLAIN", false)) {
-    explain = Explain(plan, decisions);
-    std::fprintf(stderr, "%s", explain.c_str());
-    if (obs::TracingEnabled()) {
-      obs::TraceInstant(obs::InternName("explain." + plan.name()), "plan");
-    }
-  }
-  Result<QueryResult> result =
-      decisions.fused ? ExecuteFused(plan, db, config, decisions)
-                      : ExecuteMaterializing(plan, db, config, decisions);
-  if (!result.ok()) return result;
-  result.value().explain = std::move(explain);
-  return result;
+  return decisions.fused ? ExecuteFused(plan, db, config, decisions)
+                         : ExecuteMaterializing(plan, db, config, decisions);
 }
 
 }  // namespace sgxb::plan

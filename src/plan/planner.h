@@ -4,9 +4,10 @@
 // the paper's materializing operator-at-a-time path (tpch/operators.h)
 // or a chain of fused RunMorselPipeline stages (exec/pipeline.h) — and,
 // per join node, a join flavour (RHO / PHT / CHT) plus probe scheduling.
-// Decisions come from explicit config first, then the SGXBENCH_* knobs,
-// then the calibrated cost model (perf/cost_model.h) evaluated over
-// cardinality estimates from the bound database view.
+// QueryConfig is the only input: an explicit field wins, otherwise the
+// kernel flavour's default or the calibrated cost model (perf/cost_model.h)
+// evaluated over cardinality estimates from the bound database view
+// decides. Nothing here reads the environment.
 //
 // Compiled into sgxb_tpch (it drives the tpch operators); the plan IR
 // itself (sgxb_plan) stays free of execution dependencies.
@@ -27,8 +28,6 @@ namespace sgxb::plan {
 /// \brief Per-join-node lowering decision.
 struct JoinChoice {
   join::JoinAlgorithm algo = join::JoinAlgorithm::kRho;
-  /// True when `algo` came from the cost model rather than a knob.
-  bool cost_based = false;
   /// Estimated cost of the chosen flavour (materializing form), ns.
   double cost_ns = 0;
 };
@@ -38,7 +37,8 @@ struct JoinChoice {
 struct PlanDecisions {
   /// Chosen lowering: fused morsel pipelines vs materializing operators.
   bool fused = false;
-  /// True when the mode came from the cost model (no pipeline knob set).
+  /// True when the mode came from the cost model (QueryConfig::pipeline
+  /// unset).
   bool mode_cost_based = false;
   /// Modeled cost of each whole-plan lowering, ns (0 = not evaluated).
   double fused_cost_ns = 0;
@@ -54,14 +54,17 @@ struct PlanDecisions {
 };
 
 /// \brief Computes every lowering decision for `plan` bound to `db`
-/// under `config`. Deterministic; does not execute anything.
+/// under `config`. Deterministic; does not execute anything. Callers
+/// that need a fixed lowering (bench_fig17_tpch forces every join to
+/// RHO) edit the returned decisions and pass them to ExecuteFused or
+/// ExecuteMaterializing.
 PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
                         const tpch::QueryConfig& config);
 
 /// \brief Plan dump annotated with the decisions: per-node estimated
 /// rows, join flavour / probe mode / estimated cost, and the chosen
-/// mode with both modeled lowering costs. This is what SGXBENCH_EXPLAIN
-/// prints (and attaches to QueryResult::explain).
+/// mode with both modeled lowering costs (`sgxbench_cli query` prints it
+/// after each result).
 std::string Explain(const Plan& plan, const PlanDecisions& decisions);
 
 /// \brief Executes `plan` with the given decisions through the
@@ -84,8 +87,8 @@ Result<tpch::QueryResult> ExecuteFused(const Plan& plan,
 /// children are scans).
 bool FusedLowerable(const Plan& plan);
 
-/// \brief Decide + (optionally) explain + execute: the planner's main
-/// entry point. tpch::RunPlan / RunQuery wrap this.
+/// \brief Decide + execute: the planner's main entry point.
+/// tpch::RunPlan / RunQuery wrap this.
 Result<tpch::QueryResult> ExecutePlan(const Plan& plan,
                                       const tpch::TpchDbView& db,
                                       const tpch::QueryConfig& config);

@@ -184,7 +184,7 @@ void QueryServer::Execute(AdmissionQueue::Ticket ticket) {
   const int domain = registry.AcquireDomain();
   response.obs_domain = domain;
 
-  tpch::QueryConfig config = tpch::ResolvedQueryConfig(req.config);
+  tpch::QueryConfig config = req.config;
   config.obs_domain = domain;
   mem::ArenaPool pool(tpch::EffectiveResource(config));
   config.arena_pool = &pool;

@@ -24,11 +24,11 @@
 //    GrantedGangSize(), so one heavy Q3 leases a fair slice of workers —
 //    not the whole pool — while a hundred cheap Q6s flow past it.
 //  * Isolation per query: a fresh ArenaPool over the query's memory
-//    resource (trimmed after the query, so chunk accounting balances),
-//    an obs attribution domain for the report window, and a QueryConfig
-//    whose env-defaulted knobs were resolved once at admission
-//    (tpch::ResolvedQueryConfig) — no getenv() deep in operators racing
-//    other tenants.
+//    resource (trimmed after the query, so chunk accounting balances)
+//    and an obs attribution domain for the report window. The request's
+//    QueryConfig is the query's whole configuration: nothing on the
+//    query path reads the environment, so a served query plans and runs
+//    exactly like a direct tpch::RunQuery with the same config.
 //
 // Knobs: SGXBENCH_SERVE_MAX_INFLIGHT, SGXBENCH_SERVE_WORKER_SHARE,
 // SGXBENCH_SERVE_MAX_QUEUE (see ServerOptions::FromEnv and README.md).

@@ -1,11 +1,11 @@
 // View of a TPC-H database whose columns may be resident or paged.
 //
 // TpchDbView mirrors TpchDb field-for-field but holds
-// storage::ColumnView instead of Column, so the same query bodies
-// (queries.cc, pipelines.cc — templated over the db type) run over an
-// all-resident TpchDb or over a PagedTpchDb whose columns live in the
-// out-of-EPC buffer manager (docs/storage.md). ViewOf(db) adapts a
-// resident database; PagedTpchDb::View() adapts a paged one.
+// storage::ColumnView instead of Column, so the same plan lowerings
+// (plan/planner.cc, plan/fused.cc) run over an all-resident TpchDb or
+// over a PagedTpchDb whose columns live in the out-of-EPC buffer manager
+// (docs/storage.md). ViewOf(db) adapts a resident database;
+// PagedTpchDb::View() adapts a paged one.
 
 #ifndef SGXB_TPCH_DB_VIEW_H_
 #define SGXB_TPCH_DB_VIEW_H_

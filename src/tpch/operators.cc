@@ -5,7 +5,6 @@
 #include <type_traits>
 #include <vector>
 
-#include "common/env.h"
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "exec/probe_pipeline.h"
@@ -14,7 +13,6 @@
 #include "join/pht_join.h"
 #include "join/rho_join.h"
 #include "obs/metrics.h"
-#include "perf/calibration.h"
 #include "scan/column_scan.h"
 #include "scan/scan_kernels.h"
 
@@ -141,38 +139,6 @@ Result<RowIdList> RefineImpl(const RowIdList& in, PredFactory make_pred,
 mem::MemoryResource* EffectiveResource(const QueryConfig& config) {
   if (config.resource != nullptr) return config.resource;
   return mem::ResourceFor(config.setting, config.enclave);
-}
-
-QueryConfig ResolvedQueryConfig(const QueryConfig& config) {
-  QueryConfig r = config;
-  // Pin the pipeline choice only when something actually chose: an
-  // explicit config value or SGXBENCH_PIPELINE in the environment. An
-  // unset value stays unset so the planner (plan/planner.h) remains free
-  // to cost-choose the execution mode per plan; what matters for
-  // admission-time stability is that getenv() is consulted here, once,
-  // not deep inside operators while other queries run.
-  if (!r.pipeline.has_value()) {
-    // A malformed SGXBENCH_PIPELINE (EnvBoolOpt: warn-once, nullopt) now
-    // leaves the knob unset, so the planner keeps its cost-based choice
-    // instead of being forced to the parse fallback.
-    if (std::optional<bool> env = EnvBoolOpt("SGXBENCH_PIPELINE")) {
-      r.pipeline = *env;
-    }
-  }
-  // Probe scheduling resolves through the joins' own resolvers — one
-  // precedence chain (config > env > flavour/calibration defaults) for
-  // every layer instead of a hand-kept mirror of it.
-  join::JoinConfig jc;
-  jc.flavor = r.flavor;
-  jc.probe_mode = r.probe_mode;
-  jc.probe_batch = r.probe_batch;
-  if (!r.probe_mode.has_value()) {
-    r.probe_mode = join::EffectiveProbeMode(jc);
-  }
-  if (r.probe_batch <= 0) {
-    r.probe_batch = join::EffectiveProbeWidth(jc, *r.probe_mode);
-  }
-  return r;
 }
 
 void ChargeBytesMaterialized(uint64_t bytes) {
@@ -419,8 +385,9 @@ Result<Relation> GatherKeys(storage::ColumnView<uint32_t> keys,
 
 namespace {
 
-// The planner's join-flavour dispatch: RHO unless the cost model (or
-// SGXBENCH_JOIN_ALGO) picked the shared-table or concise alternative.
+// The planner's join-flavour dispatch: RHO unless the cost model (or a
+// caller editing plan::DecideFor's decisions) picked the shared-table or
+// concise alternative.
 Result<join::JoinResult> DispatchJoin(join::JoinAlgorithm algo,
                                       const Relation& build,
                                       const Relation& probe,

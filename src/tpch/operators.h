@@ -49,8 +49,7 @@ struct QueryConfig {
   /// Fused, morsel-driven execution (docs/pipelines.md): run each query
   /// as a short DAG of pipelines with per-morsel selection vectors
   /// instead of the paper's operator-at-a-time materialization. Unset =
-  /// SGXBENCH_PIPELINE if present, else the planner's cost model picks
-  /// the mode per plan (docs/planner.md).
+  /// the planner's cost model picks the mode per plan (docs/planner.md).
   std::optional<bool> pipeline;
   /// Metrics attribution domain for this query's report (see
   /// Registry::AcquireDomain in obs/metrics.h); -1 = unattributed, the
@@ -58,15 +57,6 @@ struct QueryConfig {
   /// concurrent queries get disjoint QueryReports.
   int obs_domain = -1;
 };
-
-/// \brief Returns `config` with every env-defaulted knob pinned to its
-/// current resolved value: pipeline (SGXBENCH_PIPELINE), probe_mode
-/// (SGXBENCH_PROBE_MODE / flavor default) and probe_batch (calibrated).
-/// The serving layer calls this once at admission so a query's plan does
-/// not depend on getenv() calls racing deep inside operators while other
-/// queries run — and so two queries admitted under different settings
-/// keep the settings they were admitted with.
-QueryConfig ResolvedQueryConfig(const QueryConfig& config);
 
 /// \brief Adds `bytes` to the tpch.bytes_materialized counter (surfaced
 /// per query as QueryReport::bytes_materialized). Operators call this for

@@ -29,13 +29,6 @@ Status UnknownQueryError(int query_number) {
                                  "; catalog has " + known);
 }
 
-Result<QueryResult> CatalogQuery(int query_number, const TpchDbView& db,
-                                 const QueryConfig& config) {
-  const plan::CatalogEntry* entry = plan::FindQuery(query_number);
-  if (entry == nullptr) return UnknownQueryError(query_number);
-  return plan::ExecutePlan(entry->plan, db, config);
-}
-
 Result<QueryResult> ReportedPlan(const plan::Plan& plan,
                                  const std::string& report_name,
                                  const TpchDbView& db,
@@ -59,37 +52,6 @@ Result<QueryResult> ReportedPlan(const plan::Plan& plan,
 
 }  // namespace
 
-Result<QueryResult> RunQ3(const TpchDb& db, const QueryConfig& config) {
-  return CatalogQuery(3, ViewOf(db), config);
-}
-Result<QueryResult> RunQ3(const TpchDbView& db, const QueryConfig& config) {
-  return CatalogQuery(3, db, config);
-}
-
-Result<QueryResult> RunQ10(const TpchDb& db, const QueryConfig& config) {
-  return CatalogQuery(10, ViewOf(db), config);
-}
-Result<QueryResult> RunQ10(const TpchDbView& db,
-                           const QueryConfig& config) {
-  return CatalogQuery(10, db, config);
-}
-
-Result<QueryResult> RunQ12(const TpchDb& db, const QueryConfig& config) {
-  return CatalogQuery(12, ViewOf(db), config);
-}
-Result<QueryResult> RunQ12(const TpchDbView& db,
-                           const QueryConfig& config) {
-  return CatalogQuery(12, db, config);
-}
-
-Result<QueryResult> RunQ19(const TpchDb& db, const QueryConfig& config) {
-  return CatalogQuery(19, ViewOf(db), config);
-}
-Result<QueryResult> RunQ19(const TpchDbView& db,
-                           const QueryConfig& config) {
-  return CatalogQuery(19, db, config);
-}
-
 Result<QueryResult> RunQuery(int query_number, const TpchDb& db,
                              const QueryConfig& config) {
   return RunQuery(query_number, ViewOf(db), config);
@@ -109,29 +71,6 @@ Result<QueryResult> RunPlan(const plan::Plan& plan, const TpchDb& db,
 Result<QueryResult> RunPlan(const plan::Plan& plan, const TpchDbView& db,
                             const QueryConfig& config) {
   return ReportedPlan(plan, plan.name(), db, config);
-}
-
-Result<QueryResult> RunQ12Grouped(const TpchDb& db,
-                                  const QueryConfig& config) {
-  return CatalogQuery(plan::kQueryQ12Grouped, ViewOf(db), config);
-}
-Result<QueryResult> RunQ12Grouped(const TpchDbView& db,
-                                  const QueryConfig& config) {
-  return CatalogQuery(plan::kQueryQ12Grouped, db, config);
-}
-
-Result<QueryResult> RunQ1(const TpchDb& db, const QueryConfig& config) {
-  return CatalogQuery(1, ViewOf(db), config);
-}
-Result<QueryResult> RunQ1(const TpchDbView& db, const QueryConfig& config) {
-  return CatalogQuery(1, db, config);
-}
-
-Result<QueryResult> RunQ6(const TpchDb& db, const QueryConfig& config) {
-  return CatalogQuery(6, ViewOf(db), config);
-}
-Result<QueryResult> RunQ6(const TpchDbView& db, const QueryConfig& config) {
-  return CatalogQuery(6, db, config);
 }
 
 std::pair<uint64_t, uint64_t> ReferenceQ12Grouped(const TpchDb& db) {

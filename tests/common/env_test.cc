@@ -124,46 +124,12 @@ TEST(EnvTest, BoolOptDistinguishesUnsetSetAndMalformed) {
   }
   {
     // A malformed value is *unset* (plus a warning), not a forced
-    // fallback — so downstream ResolveKnob precedence falls through to
-    // the next layer (e.g. the planner's cost model).
+    // fallback — so the caller's own default applies.
     EnvGuard g("SGXB_TEST_BOOLOPT_BAD", "sideways");
     const uint64_t warnings = internal::EnvWarningCount();
     EXPECT_FALSE(EnvBoolOpt("SGXB_TEST_BOOLOPT_BAD").has_value());
     EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
   }
-}
-
-TEST(EnvTest, ResolveKnobPrecedenceIsConfigEnvFallback) {
-  // All three layers present: config wins.
-  EXPECT_TRUE(ResolveKnob<bool>(true, false, false));
-  EXPECT_EQ(ResolveKnob<int>(7, 5, 3), 7);
-  // Config silent: env wins.
-  EXPECT_FALSE(ResolveKnob<bool>(std::nullopt, false, true));
-  EXPECT_EQ(ResolveKnob<int>(std::nullopt, 5, 3), 5);
-  // Both silent: fallback.
-  EXPECT_TRUE(ResolveKnob<bool>(std::nullopt, std::nullopt, true));
-  EXPECT_EQ(ResolveKnob<int>(std::nullopt, std::nullopt, 3), 3);
-  // A config value of false still beats env true (presence, not truth,
-  // decides precedence).
-  EXPECT_FALSE(ResolveKnob<bool>(false, true, true));
-}
-
-TEST(EnvTest, ResolveKnobDrivesEnvBoolOptEndToEnd) {
-  // The config > env > fallback contract the knob resolvers share, shown
-  // on a boolean pipeline-style knob read through EnvBoolOpt.
-  {
-    EnvGuard g("SGXB_TEST_RESOLVE_PIPE", "1");
-    EXPECT_TRUE(ResolveKnob<bool>(std::nullopt,
-                                  EnvBoolOpt("SGXB_TEST_RESOLVE_PIPE"),
-                                  false));
-    EXPECT_FALSE(ResolveKnob<bool>(false,
-                                   EnvBoolOpt("SGXB_TEST_RESOLVE_PIPE"),
-                                   false));
-  }
-  ::unsetenv("SGXB_TEST_RESOLVE_PIPE");
-  EXPECT_FALSE(ResolveKnob<bool>(std::nullopt,
-                                 EnvBoolOpt("SGXB_TEST_RESOLVE_PIPE"),
-                                 false));
 }
 
 }  // namespace

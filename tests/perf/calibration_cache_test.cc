@@ -1,41 +1,14 @@
-// Calibration cache file (perf/calibration.h): save/load round-trip,
-// machine-hash staleness, and the Resolve() write-through path that
-// SGXBENCH_CALIB_CACHE enables.
+// Calibration machine hash (perf/calibration.h): the fingerprint printed
+// next to model results must be stable within a process and hex-shaped.
 
 #include "perf/calibration.h"
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 
 namespace sgxb::perf {
 namespace {
-
-std::string TempPath(const char* tag) {
-  const char* dir = std::getenv("TMPDIR");
-  std::string path = dir != nullptr ? dir : "/tmp";
-  path += "/sgxb_calib_";
-  path += tag;
-  path += "_";
-  path += std::to_string(static_cast<long>(::getpid()));
-  path += ".txt";
-  return path;
-}
-
-class ScopedFile {
- public:
-  explicit ScopedFile(std::string path) : path_(std::move(path)) {}
-  ~ScopedFile() { std::remove(path_.c_str()); }
-  const std::string& path() const { return path_; }
-
- private:
-  std::string path_;
-};
 
 TEST(CalibrationCacheTest, MachineHashIsStableAndHexShaped) {
   const std::string a = CalibrationMachineHash();
@@ -45,94 +18,6 @@ TEST(CalibrationCacheTest, MachineHashIsStableAndHexShaped) {
   for (char c : a) {
     EXPECT_TRUE((c >= '0' && c <= '9') || (c >= 'a' && c <= 'f')) << a;
   }
-}
-
-TEST(CalibrationCacheTest, SaveLoadRoundTripsEveryField) {
-  ScopedFile file(TempPath("roundtrip"));
-  CalibrationParams p = CalibrationParams::FromEnv();
-  // Perturb a few fields of each type so the round trip is observable.
-  p.transition_cycles = 12345;
-  p.probe_batch_size = 24;
-  p.edmm_page_add_ns = 41000.5;
-  p.l2_bytes = 2 * 1024 * 1024;
-  ASSERT_TRUE(SaveCalibrationCache(file.path(), p));
-
-  auto loaded = LoadCalibrationCache(file.path());
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->transition_cycles, 12345u);
-  EXPECT_EQ(loaded->probe_batch_size, 24);
-  EXPECT_DOUBLE_EQ(loaded->edmm_page_add_ns, 41000.5);
-  EXPECT_EQ(loaded->l2_bytes, 2u * 1024 * 1024);
-  // And an untouched field survives too.
-  EXPECT_DOUBLE_EQ(loaded->upi_bandwidth, p.upi_bandwidth);
-}
-
-TEST(CalibrationCacheTest, MissingFileIsNullopt) {
-  EXPECT_FALSE(
-      LoadCalibrationCache(TempPath("never_written")).has_value());
-}
-
-TEST(CalibrationCacheTest, StaleMachineHashIsRejected) {
-  ScopedFile file(TempPath("stale"));
-  ASSERT_TRUE(
-      SaveCalibrationCache(file.path(), CalibrationParams::FromEnv()));
-  // Corrupt the recorded hash in place: the loader must treat the file
-  // as another machine's calibration.
-  std::string contents;
-  {
-    std::ifstream in(file.path());
-    ASSERT_TRUE(in.good());
-    contents.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
-  const size_t pos = contents.find("machine_hash=");
-  ASSERT_NE(pos, std::string::npos);
-  contents[pos + 13] = contents[pos + 13] == '0' ? '1' : '0';
-  {
-    std::ofstream out(file.path(), std::ios::trunc);
-    out << contents;
-  }
-  EXPECT_FALSE(LoadCalibrationCache(file.path()).has_value());
-}
-
-TEST(CalibrationCacheTest, TruncatedFileIsRejected) {
-  ScopedFile file(TempPath("truncated"));
-  ASSERT_TRUE(
-      SaveCalibrationCache(file.path(), CalibrationParams::FromEnv()));
-  std::string contents;
-  {
-    std::ifstream in(file.path());
-    contents.assign(std::istreambuf_iterator<char>(in),
-                    std::istreambuf_iterator<char>());
-  }
-  {
-    std::ofstream out(file.path(), std::ios::trunc);
-    out << contents.substr(0, contents.size() / 2);
-  }
-  EXPECT_FALSE(LoadCalibrationCache(file.path()).has_value());
-}
-
-TEST(CalibrationCacheTest, ResolveWritesThroughWhenCacheIsCold) {
-  ScopedFile file(TempPath("resolve"));
-  ::setenv("SGXBENCH_CALIB_CACHE", file.path().c_str(), 1);
-  const CalibrationParams first = CalibrationParams::Resolve();
-  ::unsetenv("SGXBENCH_CALIB_CACHE");
-  // The cold resolve must have written a loadable, hash-matching cache
-  // whose contents equal what it returned.
-  auto cached = LoadCalibrationCache(file.path());
-  ASSERT_TRUE(cached.has_value());
-  EXPECT_EQ(cached->transition_cycles, first.transition_cycles);
-  EXPECT_DOUBLE_EQ(cached->node_read_bandwidth, first.node_read_bandwidth);
-  EXPECT_EQ(cached->probe_batch_size, first.probe_batch_size);
-}
-
-TEST(CalibrationCacheTest, ResolveWithoutKnobMatchesFromEnv) {
-  ::unsetenv("SGXBENCH_CALIB_CACHE");
-  const CalibrationParams a = CalibrationParams::Resolve();
-  const CalibrationParams b = CalibrationParams::FromEnv();
-  EXPECT_EQ(a.transition_cycles, b.transition_cycles);
-  EXPECT_DOUBLE_EQ(a.edmm_page_add_ns, b.edmm_page_add_ns);
-  EXPECT_EQ(a.probe_batch_size, b.probe_batch_size);
 }
 
 }  // namespace

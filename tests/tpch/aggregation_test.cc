@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "plan/catalog.h"
 #include "tpch/operators.h"
 #include "tpch/queries.h"
 #include "tpch/tpch_gen.h"
@@ -87,7 +88,7 @@ TEST(Q12GroupedTest, MatchesReference) {
   for (int threads : {1, 4}) {
     QueryConfig cfg;
     cfg.num_threads = threads;
-    auto result = RunQ12Grouped(Db(), cfg);
+    auto result = RunQuery(plan::kQueryQ12Grouped, Db(), cfg);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     auto [high, low] = ReferenceQ12Grouped(Db());
     ASSERT_EQ(result.value().group_counts.size(), 2u);
@@ -99,7 +100,7 @@ TEST(Q12GroupedTest, MatchesReference) {
 
 TEST(Q12GroupedTest, GroupTotalEqualsPlainQ12) {
   QueryConfig cfg;
-  auto grouped = RunQ12Grouped(Db(), cfg).value();
+  auto grouped = RunQuery(plan::kQueryQ12Grouped, Db(), cfg).value();
   EXPECT_EQ(grouped.count, ReferenceQ12(Db()));
 }
 
@@ -107,7 +108,7 @@ TEST(Q1Test, MatchesReference) {
   for (int threads : {1, 3}) {
     QueryConfig cfg;
     cfg.num_threads = threads;
-    auto result = RunQ1(Db(), cfg);
+    auto result = RunQuery(1, Db(), cfg);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     std::vector<uint64_t> expected = ReferenceQ1Counts(Db());
     EXPECT_EQ(result.value().group_counts, expected);
@@ -150,7 +151,7 @@ TEST(Q6Test, MatchesReference) {
   for (int threads : {1, 4}) {
     QueryConfig cfg;
     cfg.num_threads = threads;
-    auto result = RunQ6(Db(), cfg);
+    auto result = RunQuery(6, Db(), cfg);
     ASSERT_TRUE(result.ok()) << result.status().ToString();
     ASSERT_EQ(result.value().group_counts.size(), 1u);
     EXPECT_EQ(result.value().group_counts[0], ReferenceQ6(Db()));

@@ -13,6 +13,7 @@
 #include <tuple>
 
 #include "obs/query_report.h"
+#include "plan/catalog.h"
 #include "storage/buffer_manager.h"
 #include "tpch/paged_db.h"
 #include "tpch/queries.h"
@@ -21,9 +22,17 @@
 namespace sgxb::tpch {
 namespace {
 
-// One shared paged database: SF 0.01 (~60k lineitem rows, ~2.4 MB of
-// columns) through a 768 KiB pool with 4096-row partitions, so scans
-// cross many partition boundaries and the clock evicts continuously.
+// SF 0.01 (~60k lineitem rows, ~2.4 MB of columns) through a 768 KiB
+// pool with 4096-row partitions, so scans cross many partition
+// boundaries and the clock evicts continuously.
+storage::BufferManager::Config PoolConfig() {
+  storage::BufferManager::Config cfg;
+  cfg.buffer_bytes = 768 << 10;
+  cfg.partition_rows = 4096;
+  return cfg;
+}
+
+// One shared generated database, plus a paged copy over one shared pool.
 struct PagedWorld {
   TpchDb db;
   std::unique_ptr<storage::BufferManager> bm;
@@ -33,10 +42,7 @@ struct PagedWorld {
     GenConfig gen;
     gen.scale_factor = 0.01;
     db = Generate(gen).value();
-    storage::BufferManager::Config cfg;
-    cfg.buffer_bytes = 768 << 10;
-    cfg.partition_rows = 4096;
-    bm = std::make_unique<storage::BufferManager>(cfg);
+    bm = std::make_unique<storage::BufferManager>(PoolConfig());
     paged = PagedTpchDb::Build(db, bm.get()).value();
   }
 };
@@ -61,10 +67,17 @@ TEST_P(PagedQueryTest, PagedMatchesResident) {
   auto resident = RunQuery(query, w.db, cfg);
   ASSERT_TRUE(resident.ok()) << resident.status().ToString();
 
-  const storage::BufferManagerStats before = w.bm->stats();
-  auto paged = RunQuery(query, w.paged.View(), cfg);
+  // Every case pages through its own cold pool: a pool that the previous
+  // case (often this query's other lowering) just warmed can still hold
+  // every partition the query touches, and then nothing reloads.
+  storage::BufferManager bm(PoolConfig());
+  auto paged_db = PagedTpchDb::Build(w.db, &bm);
+  ASSERT_TRUE(paged_db.ok()) << paged_db.status().ToString();
+
+  const storage::BufferManagerStats before = bm.stats();
+  auto paged = RunQuery(query, paged_db.value().View(), cfg);
   ASSERT_TRUE(paged.ok()) << paged.status().ToString();
-  const storage::BufferManagerStats after = w.bm->stats();
+  const storage::BufferManagerStats after = bm.stats();
 
   EXPECT_EQ(paged.value().count, resident.value().count);
   EXPECT_EQ(paged.value().group_counts, resident.value().group_counts);
@@ -90,9 +103,9 @@ TEST(PagedQueryTest, Q12GroupedPagedMatchesResident) {
     QueryConfig cfg;
     cfg.num_threads = 4;
     cfg.pipeline = fused;
-    auto resident = RunQ12Grouped(w.db, cfg);
+    auto resident = RunQuery(plan::kQueryQ12Grouped, w.db, cfg);
     ASSERT_TRUE(resident.ok()) << resident.status().ToString();
-    auto paged = RunQ12Grouped(w.paged.View(), cfg);
+    auto paged = RunQuery(plan::kQueryQ12Grouped, w.paged.View(), cfg);
     ASSERT_TRUE(paged.ok()) << paged.status().ToString();
     EXPECT_EQ(paged.value().count, resident.value().count) << fused;
     EXPECT_EQ(paged.value().group_counts, resident.value().group_counts)

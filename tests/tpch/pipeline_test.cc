@@ -1,5 +1,5 @@
 // Result-equivalence matrix for the fused morsel-driven pipelines
-// (tpch/pipelines.cc): for every query, the fused plan must produce a
+// (plan/fused.cc): for every query, the fused plan must produce a
 // QueryResult byte-identical (count + group_counts) to the materializing
 // plan across thread counts, execution settings, and probe modes. Also
 // hosts the vectorized-stage tests over paged and versioned views, the
@@ -13,7 +13,7 @@
 // job runs it once more built for the runner's CPU, so the SIMD kernels
 // run sanitized too.
 
-#include "tpch/pipelines.h"
+#include "tpch/queries.h"
 
 #include <gtest/gtest.h>
 
@@ -41,9 +41,6 @@
 namespace sgxb::tpch {
 namespace {
 
-// 112 = the Q12Grouped extension (not a RunQuery number).
-constexpr int kQ12Grouped = 112;
-
 const TpchDb& Db() {
   static const TpchDb db = [] {
     GenConfig cfg;
@@ -51,26 +48,6 @@ const TpchDb& Db() {
     return Generate(cfg).value();
   }();
   return db;
-}
-
-Result<QueryResult> RunOne(int query, const QueryConfig& cfg) {
-  switch (query) {
-    case 1:
-      return RunQ1(Db(), cfg);
-    case 3:
-      return RunQ3(Db(), cfg);
-    case 6:
-      return RunQ6(Db(), cfg);
-    case 10:
-      return RunQ10(Db(), cfg);
-    case 12:
-      return RunQ12(Db(), cfg);
-    case 19:
-      return RunQ19(Db(), cfg);
-    case kQ12Grouped:
-      return RunQ12Grouped(Db(), cfg);
-  }
-  return Status::InvalidArgument("unknown query");
 }
 
 using MatrixParam = std::tuple<int, ExecutionSetting, int, exec::ProbeMode>;
@@ -96,11 +73,11 @@ TEST_P(PipelineEquivalenceTest, FusedMatchesMaterializing) {
   cfg.probe_mode = probe_mode;
 
   cfg.pipeline = false;
-  auto materializing = RunOne(query, cfg);
+  auto materializing = RunQuery(query, Db(), cfg);
   ASSERT_TRUE(materializing.ok()) << materializing.status().ToString();
 
   cfg.pipeline = true;
-  auto fused = RunOne(query, cfg);
+  auto fused = RunQuery(query, Db(), cfg);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
 
   EXPECT_EQ(fused.value().count, materializing.value().count)
@@ -114,7 +91,8 @@ TEST_P(PipelineEquivalenceTest, FusedMatchesMaterializing) {
 
 INSTANTIATE_TEST_SUITE_P(
     AllQueries, PipelineEquivalenceTest,
-    ::testing::Combine(::testing::Values(1, 3, 6, 10, 12, 19, kQ12Grouped),
+    ::testing::Combine(::testing::Values(1, 3, 6, 10, 12, 19,
+                                         plan::kQueryQ12Grouped),
                        ::testing::Values(
                            ExecutionSetting::kPlainCpu,
                            ExecutionSetting::kSgxDataInEnclave),
@@ -125,7 +103,7 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
       int q = std::get<0>(info.param);
       std::string name =
-          q == kQ12Grouped ? "Q12G" : "Q" + std::to_string(q);
+          q == plan::kQueryQ12Grouped ? "Q12G" : "Q" + std::to_string(q);
       name += std::get<1>(info.param) == ExecutionSetting::kPlainCpu
                   ? "_Plain"
                   : "_Sgx";
@@ -143,36 +121,6 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
-
-TEST(PipelineConfigTest, ExplicitConfigOverridesEnv) {
-  // plan::DecideFor is the one resolver of QueryConfig::pipeline: an
-  // explicit value beats SGXBENCH_PIPELINE, which beats the cost model.
-  const plan::Plan& q6 = plan::FindQuery(6)->plan;
-  const TpchDbView view = ViewOf(Db());
-  QueryConfig cfg;
-  auto decide = [&] { return plan::DecideFor(q6, view, cfg); };
-
-  ASSERT_EQ(setenv("SGXBENCH_PIPELINE", "1", 1), 0);
-  EXPECT_TRUE(decide().fused);
-  EXPECT_FALSE(decide().mode_cost_based);
-  cfg.pipeline = false;
-  EXPECT_FALSE(decide().fused);
-  EXPECT_FALSE(decide().mode_cost_based);
-  ASSERT_EQ(setenv("SGXBENCH_PIPELINE", "0", 1), 0);
-  cfg.pipeline.reset();
-  EXPECT_FALSE(decide().fused);
-  EXPECT_FALSE(decide().mode_cost_based);
-  cfg.pipeline = true;
-  EXPECT_TRUE(decide().fused);
-  EXPECT_FALSE(decide().mode_cost_based);
-
-  // Neither set: the cost model chooses.
-  ASSERT_EQ(unsetenv("SGXBENCH_PIPELINE"), 0);
-  cfg.pipeline.reset();
-  const plan::PlanDecisions d = decide();
-  EXPECT_TRUE(d.mode_cost_based);
-  EXPECT_EQ(d.fused, d.fused_cost_ns < d.materializing_cost_ns);
-}
 
 TEST(PipelineReportTest, FusedPlansMaterializeFewerBytes) {
   // The point of fusion: the multi-join queries stop writing global

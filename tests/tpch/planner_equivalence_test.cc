@@ -4,8 +4,8 @@
 // materializing and fused lowerings, over resident and paged columns,
 // across probe modes. On top of the matrix: scalar-loop oracles for the
 // plan-only Q5-style queries, ad-hoc plans through RunPlan, and unit
-// tests for the planner's decision logic (knob precedence, forced join
-// flavours, explain output).
+// tests for the planner's decision logic (config precedence, join
+// flavours forced through the DecideFor seam, explain output).
 //
 // Wired into the ASan/UBSan and TSan CI jobs (`ctest -L
 // planner_equivalence_test`) alongside pipeline_test.
@@ -14,7 +14,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -54,30 +53,6 @@ PlannerWorld& World() {
   static PlannerWorld* world = new PlannerWorld();
   return *world;
 }
-
-// Restores an env var on scope exit so decision tests cannot leak knobs
-// into the equivalence matrix.
-class ScopedEnv {
- public:
-  ScopedEnv(const char* name, const char* value) : name_(name) {
-    const char* old = std::getenv(name);
-    if (old != nullptr) saved_ = old;
-    had_ = old != nullptr;
-    setenv(name, value, 1);
-  }
-  ~ScopedEnv() {
-    if (had_) {
-      setenv(name_, saved_.c_str(), 1);
-    } else {
-      unsetenv(name_);
-    }
-  }
-
- private:
-  const char* name_;
-  std::string saved_;
-  bool had_ = false;
-};
 
 // --- Scalar-loop oracles for the plan-only queries -------------------------
 // Q5M/Q5G: customer (mktsegment = AUTOMOBILE) JOIN orders (orderdate in
@@ -344,32 +319,12 @@ TEST(PlannerDecisionTest, CostModelPicksModeWhenUnconstrained) {
   for (double est : d.est_rows) EXPECT_GE(est, 0.0);
 }
 
-TEST(PlannerDecisionTest, ForcedJoinAlgoOverridesCostModel) {
-  PlannerWorld& w = World();
-  const plan::CatalogEntry* q3 = plan::FindQuery(3);
-  ScopedEnv force("SGXBENCH_JOIN_ALGO", "pht");
-  QueryConfig cfg;
-  const plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
-  for (size_t id = 0; id < q3->plan.nodes().size(); ++id) {
-    if (q3->plan.nodes()[id].kind != plan::PlanNode::Kind::kJoin) continue;
-    EXPECT_EQ(d.joins[id].algo, join::JoinAlgorithm::kPht);
-    EXPECT_FALSE(d.joins[id].cost_based);
-  }
-  // Results must stay correct under the forced flavour, in both modes.
-  for (bool fused : {false, true}) {
-    QueryConfig run_cfg;
-    run_cfg.num_threads = 2;
-    run_cfg.pipeline = fused;
-    auto r = RunQuery(3, w.db, run_cfg);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_EQ(r.value().count, ReferenceQ3(w.db)) << "fused=" << fused;
-  }
-}
-
-// The paper's Section 6 setup (bench_fig17_tpch): every join forced to
+// The paper's Section 6 setup (bench_fig17_tpch) forces every join to
 // RHO through the public DecideFor + ExecuteMaterializing seam, with no
-// knob involved. Must match the reference oracles with either kernel
-// flavour.
+// knob involved; the same seam forces PHT and CHT. Each forced flavour
+// must match the reference oracles with either kernel flavour. (The
+// fused lowering ignores JoinChoice::algo, so the equivalence matrix
+// above already covers the fused side.)
 TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
   PlannerWorld& w = World();
   const std::pair<int, uint64_t> queries[] = {{3, ReferenceQ3(w.db)},
@@ -379,17 +334,22 @@ TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
   for (const auto& [query, expected] : queries) {
     const plan::CatalogEntry* e = plan::FindQuery(query);
     ASSERT_NE(e, nullptr);
-    for (KernelFlavor flavor :
-         {KernelFlavor::kReference, KernelFlavor::kUnrolledReordered}) {
-      QueryConfig cfg;
-      cfg.num_threads = 2;
-      cfg.radix_bits = 8;
-      cfg.flavor = flavor;
-      plan::PlanDecisions d = plan::DecideFor(e->plan, ViewOf(w.db), cfg);
-      for (plan::JoinChoice& j : d.joins) j.algo = join::JoinAlgorithm::kRho;
-      auto r = plan::ExecuteMaterializing(e->plan, ViewOf(w.db), cfg, d);
-      ASSERT_TRUE(r.ok()) << r.status().ToString();
-      EXPECT_EQ(r.value().count, expected) << "Q" << query;
+    for (join::JoinAlgorithm algo :
+         {join::JoinAlgorithm::kRho, join::JoinAlgorithm::kPht,
+          join::JoinAlgorithm::kCht}) {
+      for (KernelFlavor flavor :
+           {KernelFlavor::kReference, KernelFlavor::kUnrolledReordered}) {
+        QueryConfig cfg;
+        cfg.num_threads = 2;
+        cfg.radix_bits = 8;
+        cfg.flavor = flavor;
+        plan::PlanDecisions d = plan::DecideFor(e->plan, ViewOf(w.db), cfg);
+        for (plan::JoinChoice& j : d.joins) j.algo = algo;
+        auto r = plan::ExecuteMaterializing(e->plan, ViewOf(w.db), cfg, d);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r.value().count, expected)
+            << "Q" << query << " " << join::JoinAlgorithmToString(algo);
+      }
     }
   }
 }
@@ -408,23 +368,6 @@ TEST(ExplainTest, DumpCarriesDecisionsForEveryNode) {
   EXPECT_NE(text.find("Scan(customer)"), std::string::npos) << text;
   EXPECT_NE(text.find("est_cost="), std::string::npos) << text;
   EXPECT_NE(text.find("rows"), std::string::npos) << text;
-}
-
-TEST(ExplainTest, EnvKnobAttachesExplainToResult) {
-  PlannerWorld& w = World();
-  QueryConfig cfg;
-  cfg.num_threads = 1;
-  {
-    ScopedEnv on("SGXBENCH_EXPLAIN", "1");
-    auto r = RunQuery(6, w.db, cfg);
-    ASSERT_TRUE(r.ok()) << r.status().ToString();
-    EXPECT_NE(r.value().explain.find("plan Q6"), std::string::npos)
-        << r.value().explain;
-  }
-  auto quiet = RunQuery(6, w.db, cfg);
-  ASSERT_TRUE(quiet.ok());
-  EXPECT_TRUE(quiet.value().explain.empty())
-      << "explain must be opt-in, not always-on";
 }
 
 }  // namespace
