@@ -45,24 +45,8 @@ int main() {
     // Figure 3 benchmarks the *unoptimized* state-of-the-art joins.
     cfg.flavor = KernelFlavor::kReference;
 
-    join::JoinResult result;
-    switch (algo) {
-      case join::JoinAlgorithm::kCrk:
-        result = join::CrkJoin(build, probe, cfg).value();
-        break;
-      case join::JoinAlgorithm::kPht:
-        result = join::PhtJoin(build, probe, cfg).value();
-        break;
-      case join::JoinAlgorithm::kRho:
-        result = join::RhoJoin(build, probe, cfg).value();
-        break;
-      case join::JoinAlgorithm::kMway:
-        result = join::MwayJoin(build, probe, cfg).value();
-        break;
-      case join::JoinAlgorithm::kInl:
-        result = join::InlJoin(build, probe, cfg).value();
-        break;
-    }
+    const join::JoinResult result =
+        join::RunJoin(algo, build, probe, cfg).value();
     if (result.matches != expected) {
       std::fprintf(stderr, "MATCH MISMATCH for %s: %llu != %llu\n",
                    join::JoinAlgorithmToString(algo),

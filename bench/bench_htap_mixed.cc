@@ -86,13 +86,12 @@ int main() {
                   : std::vector<double>{0, 10000, 100000};
   const int reps = SmokeMode() ? 3 : 9;
 
-  txn::UpdateFeedOptions feed_opts = txn::UpdateFeedOptions::FromEnv();
-  // Bench defaults where the env knobs are silent: enough writers to
-  // contend the latch, moderate skew so hot chunks exist.
-  if (std::getenv("SGXBENCH_TXN_FEED_THREADS") == nullptr) {
-    feed_opts.threads = SmokeMode() ? 2 : 4;
-  }
-  if (feed_opts.zipf_theta == 0) feed_opts.zipf_theta = 0.5;
+  // Enough writers to contend the latch, moderate skew so hot chunks
+  // exist; the rate is set per sweep point below.
+  txn::UpdateFeedOptions feed_opts;
+  feed_opts.threads = SmokeMode() ? 2 : 4;
+  feed_opts.zipf_theta = 0.5;
+  const txn::TxnOptions txn_opts;
 
   tpch::QueryConfig base_config;
   base_config.num_threads =
@@ -100,7 +99,7 @@ int main() {
 
   std::printf("  feed: threads=%d theta=%.2f chunk_rows=%zu\n",
               feed_opts.threads, feed_opts.zipf_theta,
-              txn::TxnOptions::FromEnv().chunk_rows);
+              txn_opts.chunk_rows);
 
   core::TablePrinter table(
       {"rate/s", "class", "runs", "p50", "p99", "slowdown", "parks/q",
@@ -122,7 +121,7 @@ int main() {
   bool gate_failed = false;
 
   for (const double rate : rates) {
-    txn::VersionedTpchDb vdb(db, txn::TxnOptions::FromEnv());
+    txn::VersionedTpchDb vdb(db, txn_opts);
     obs::Registry& registry = obs::Registry::Global();
 
     // The feed gets its own attribution domain so its share of the latch

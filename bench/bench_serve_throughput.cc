@@ -92,13 +92,11 @@ int main() {
   std::printf("  generating TPC-H data at SF %.2f ...\n", gen.scale_factor);
   tpch::TpchDb db = tpch::Generate(gen).value();
 
-  serve::ServerOptions opts = serve::ServerOptions::FromEnv();
-  if (opts.worker_share == 0) {
-    // Default worker share for the bench: a quarter of the host, so even
-    // a heavy query leaves three quarters of the pool to others.
-    opts.worker_share =
-        std::max(1, exec::Executor::DefaultParallelism() / 4);
-  }
+  serve::ServerOptions opts;
+  opts.max_inflight = 8;
+  // A quarter of the host, so even a heavy query leaves three quarters of
+  // the pool to others.
+  opts.worker_share = std::max(1, exec::Executor::DefaultParallelism() / 4);
   opts.max_queue = 1 << 20;  // measure scheduling, not admission drops
   std::printf("  max_inflight=%d worker_share=%d\n", opts.max_inflight,
               opts.worker_share);

@@ -145,8 +145,8 @@ class Executor {
   int GrantedGangSize(int want);
 
   /// \brief Hard cap applied by GrantedGangSize (0 = uncapped). Set by
-  /// the serving layer from SGXBENCH_SERVE_WORKER_SHARE so no single
-  /// query's elastic gangs exceed its worker share while serving.
+  /// the serving layer from serve::ServerOptions::worker_share so no
+  /// single query's elastic gangs exceed its worker share while serving.
   void SetMaxWorkersPerGang(int cap);
   int max_workers_per_gang() const;
 

@@ -1,5 +1,11 @@
 #include "join/join_common.h"
 
+#include "join/cht_join.h"
+#include "join/crk_join.h"
+#include "join/inl_join.h"
+#include "join/mway_join.h"
+#include "join/pht_join.h"
+#include "join/rho_join.h"
 #include "perf/calibration.h"
 
 namespace sgxb::join {
@@ -39,6 +45,25 @@ const char* JoinAlgorithmToString(JoinAlgorithm algo) {
   return "unknown";
 }
 
+Result<JoinResult> RunJoin(JoinAlgorithm algo, const Relation& build,
+                           const Relation& probe, const JoinConfig& config) {
+  switch (algo) {
+    case JoinAlgorithm::kPht:
+      return PhtJoin(build, probe, config);
+    case JoinAlgorithm::kRho:
+      return RhoJoin(build, probe, config);
+    case JoinAlgorithm::kMway:
+      return MwayJoin(build, probe, config);
+    case JoinAlgorithm::kInl:
+      return InlJoin(build, probe, config);
+    case JoinAlgorithm::kCrk:
+      return CrkJoin(build, probe, config);
+    case JoinAlgorithm::kCht:
+      return ChtJoin(build, probe, config);
+  }
+  return Status::InvalidArgument("unknown join algorithm");
+}
+
 Status ValidateJoinInputs(const Relation& build, const Relation& probe,
                           const JoinConfig& config) {
   if (build.empty() || probe.empty()) {
@@ -60,11 +85,6 @@ Status ValidateJoinInputs(const Relation& build, const Relation& probe,
         "materializing inside the enclave requires an Enclave instance");
   }
   return Status::OK();
-}
-
-Result<AlignedBuffer> AllocateIntermediate(size_t bytes,
-                                           const JoinConfig& config) {
-  return EffectiveResource(config)->Allocate(bytes);
 }
 
 mem::MemoryResource* EffectiveResource(const JoinConfig& config) {

@@ -153,6 +153,11 @@ struct JoinResult {
   }
 };
 
+/// \brief Runs `algo` (PhtJoin, RhoJoin, ...) on build x probe: the one
+/// dispatcher over all six joins. Each honours `config.output`.
+Result<JoinResult> RunJoin(JoinAlgorithm algo, const Relation& build,
+                           const Relation& probe, const JoinConfig& config);
+
 /// \brief Records phase boundaries from worker thread 0. Workers call
 /// BeginPhase/EndPhase around barrier-synchronized sections; only tid 0
 /// writes, so no synchronization is needed beyond the join's own barriers.
@@ -214,12 +219,6 @@ inline uint32_t RadixOf(uint32_t key, uint32_t mask, uint32_t shift) {
 /// \brief Validates the common preconditions shared by all joins.
 Status ValidateJoinInputs(const Relation& build, const Relation& probe,
                           const JoinConfig& config);
-
-/// \brief Allocates an intermediate structure (hash table, partition
-/// buffer, ...) in the memory region implied by the execution setting:
-/// from the enclave heap when data lives in the enclave, else untrusted.
-Result<AlignedBuffer> AllocateIntermediate(size_t bytes,
-                                           const JoinConfig& config);
 
 }  // namespace sgxb::join
 

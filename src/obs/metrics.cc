@@ -69,13 +69,6 @@ uint64_t Histogram::QuantileUpperBound(double q) const {
   return Max();
 }
 
-void Histogram::Reset() {
-  for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-  count_.Reset();
-  sum_.Reset();
-  max_.store(0, std::memory_order_relaxed);
-}
-
 uint64_t MetricsSnapshot::CounterOr(const std::string& name,
                                     uint64_t fallback) const {
   auto it = counters.find(name);
@@ -275,14 +268,6 @@ MetricsSnapshot Registry::DomainSnapshot(int domain) const {
     snap.counters[name] = c->DomainValue(domain);
   }
   return snap;
-}
-
-void Registry::ResetAll() {
-  Impl& i = impl();
-  std::lock_guard<std::mutex> lock(i.mu);
-  for (auto& [name, c] : i.counters) c->Reset();
-  for (auto& [name, g] : i.gauges) g->Reset();
-  for (auto& [name, h] : i.histograms) h->Reset();
 }
 
 bool WriteStats(const std::string& path) {

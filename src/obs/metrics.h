@@ -114,7 +114,6 @@ class Gauge {
     value_.fetch_add(delta, std::memory_order_relaxed);
   }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { Set(0); }
 
  private:
   std::atomic<int64_t> value_{0};
@@ -142,8 +141,6 @@ class Histogram {
   /// \brief Upper-bound estimate of the q-quantile (q in [0,1]): the
   /// exclusive upper edge of the bucket containing it.
   uint64_t QuantileUpperBound(double q) const;
-
-  void Reset();
 
  private:
   std::atomic<uint64_t> buckets_[kBuckets] = {};
@@ -211,10 +208,6 @@ class Registry {
   /// activity attributed to `domain` since AcquireDomain. Gauges and
   /// histograms are process-global and not included.
   MetricsSnapshot DomainSnapshot(int domain) const;
-
-  /// \brief Resets every registered metric to zero (benchmark measurement
-  /// windows; see Counter::Reset for the concurrency caveat).
-  void ResetAll();
 
  private:
   Registry() = default;

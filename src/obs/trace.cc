@@ -38,22 +38,14 @@ std::vector<std::unique_ptr<Ring>>& Rings() {
   return *rings;
 }
 
-std::atomic<size_t> g_ring_capacity{0};  // 0 = not yet resolved
-
-size_t RingCapacity() {
-  size_t cap = g_ring_capacity.load(std::memory_order_acquire);
-  if (cap == 0) {
-    cap = static_cast<size_t>(
-        EnvUint("SGXBENCH_TRACE_BUF", 65536, 16, uint64_t{1} << 24));
-    g_ring_capacity.store(cap, std::memory_order_release);
-  }
-  return cap;
-}
+// Events per ring created from now on; EnableTracing(n) changes it.
+std::atomic<size_t> g_ring_capacity{65536};
 
 Ring* ThisThreadRing() {
   thread_local Ring* ring = nullptr;
   if (ring == nullptr) {
-    auto owned = std::make_unique<Ring>(RingCapacity());
+    auto owned = std::make_unique<Ring>(
+        g_ring_capacity.load(std::memory_order_acquire));
     ring = owned.get();
     std::lock_guard<std::mutex> lock(g_rings_mu);
     ring->tid = static_cast<int>(Rings().size());

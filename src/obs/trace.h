@@ -15,8 +15,8 @@
 //  * enabled: two RDTSCP reads plus one store into a thread-local ring
 //    buffer slot. No locks, no allocation after the buffer exists.
 //
-// Ring semantics: each thread owns a fixed-capacity ring
-// (SGXBENCH_TRACE_BUF events, default 65536). When full, the oldest event
+// Ring semantics: each thread owns a fixed-capacity ring (65536 events
+// unless EnableTracing(n) sets another size). When full, the oldest event
 // is overwritten and a dropped-events counter advances — tracing a long
 // run degrades to "most recent window" instead of unbounded memory.
 //
@@ -59,8 +59,9 @@ inline bool TracingEnabled() {
   return internal::g_tracing_enabled.load(std::memory_order_relaxed);
 }
 
-/// \brief Starts recording. `events_per_thread` 0 = SGXBENCH_TRACE_BUF or
-/// the 65536 default. Capacity applies to rings created after the call.
+/// \brief Starts recording. `events_per_thread` > 0 sets the ring
+/// capacity (65536 events until a call sets another); 0 keeps the current
+/// one. Capacity applies to rings created after the call.
 void EnableTracing(size_t events_per_thread = 0);
 
 /// \brief Stops recording; buffers keep their contents for WriteTrace.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/env.h"
 #include "exec/executor.h"
 #include "mem/arena_pool.h"
 #include "obs/metrics.h"
@@ -18,20 +17,6 @@ int ClampInflight(int n) {
 }
 
 }  // namespace
-
-ServerOptions ServerOptions::FromEnv() {
-  ServerOptions o;
-  o.max_inflight = static_cast<int>(
-      EnvInt("SGXBENCH_SERVE_MAX_INFLIGHT", o.max_inflight, /*lo=*/1,
-             /*hi=*/obs::kMaxMetricDomains));
-  o.worker_share = static_cast<int>(
-      EnvInt("SGXBENCH_SERVE_WORKER_SHARE", o.worker_share, /*lo=*/0,
-             /*hi=*/4096));
-  o.max_queue = static_cast<int>(
-      EnvInt("SGXBENCH_SERVE_MAX_QUEUE", o.max_queue, /*lo=*/1,
-             /*hi=*/1 << 20));
-  return o;
-}
 
 // --- AdmissionQueue -----------------------------------------------------
 

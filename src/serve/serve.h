@@ -19,7 +19,7 @@
 //    admission bound is the concurrency bound: at most max_inflight
 //    queries touch the executor, the arenas, or the enclave at once.
 //  * Fairness lives in the executor handoff: the server prewarms the pool
-//    to the host's core count, applies SGXBENCH_SERVE_WORKER_SHARE as a
+//    to the host's core count, applies ServerOptions::worker_share as a
 //    hard per-gang cap, and sizes each admitted query's gang with
 //    GrantedGangSize(), so one heavy Q3 leases a fair slice of workers —
 //    not the whole pool — while a hundred cheap Q6s flow past it.
@@ -30,8 +30,8 @@
 //    query path reads the environment, so a served query plans and runs
 //    exactly like a direct tpch::RunQuery with the same config.
 //
-// Knobs: SGXBENCH_SERVE_MAX_INFLIGHT, SGXBENCH_SERVE_WORKER_SHARE,
-// SGXBENCH_SERVE_MAX_QUEUE (see ServerOptions::FromEnv and README.md).
+// The server reads no environment: ServerOptions, passed by the caller, is
+// its whole configuration.
 
 #ifndef SGXB_SERVE_SERVE_H_
 #define SGXB_SERVE_SERVE_H_
@@ -53,8 +53,7 @@
 
 namespace sgxb::serve {
 
-/// \brief Serving configuration. Defaults match FromEnv() with no
-/// environment set.
+/// \brief Serving configuration, set by the caller.
 struct ServerOptions {
   /// Queries executing concurrently (= runner threads). Clamped to
   /// [1, obs::kMaxMetricDomains] so every in-flight query gets its own
@@ -67,10 +66,6 @@ struct ServerOptions {
   /// Tickets waiting for a runner before Submit() rejects. Bounds memory
   /// under overload; rejected requests fail fast with ResourceExhausted.
   int max_queue = 1024;
-
-  /// \brief SGXBENCH_SERVE_MAX_INFLIGHT / SGXBENCH_SERVE_WORKER_SHARE /
-  /// SGXBENCH_SERVE_MAX_QUEUE over the defaults above.
-  static ServerOptions FromEnv();
 };
 
 /// \brief One query submission.
@@ -176,12 +171,12 @@ class AdmissionQueue {
 class QueryServer {
  public:
   explicit QueryServer(const tpch::TpchDb& db,
-                       ServerOptions options = ServerOptions::FromEnv());
+                       ServerOptions options = ServerOptions{});
   /// \brief HTAP mode: queries run over pinned snapshots of `vdb` (one
   /// per request, released at completion) and update-batch requests are
   /// admitted alongside them (QueryRequest::updates).
   explicit QueryServer(txn::VersionedTpchDb& vdb,
-                       ServerOptions options = ServerOptions::FromEnv());
+                       ServerOptions options = ServerOptions{});
   ~QueryServer();
 
   QueryServer(const QueryServer&) = delete;

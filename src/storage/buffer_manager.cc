@@ -5,7 +5,6 @@
 #include <chrono>
 #include <cstring>
 
-#include "common/env.h"
 #include "obs/metrics.h"
 
 namespace sgxb::storage {
@@ -46,17 +45,6 @@ obs::Counter* CtrPinWaits() {
 
 size_t PagedColumnBase::PartitionValues(size_t p) const {
   return std::min(partition_rows_, num_values_ - p * partition_rows_);
-}
-
-BufferManager::Config BufferManager::ConfigFromEnv() {
-  Config c;
-  c.buffer_bytes = EnvUint("SGXBENCH_BUFFER_BYTES", c.buffer_bytes,
-                           /*lo=*/1ull << 16, /*hi=*/1ull << 40);
-  c.partition_rows = EnvUint("SGXBENCH_PARTITION_ROWS", c.partition_rows,
-                             /*lo=*/1024, /*hi=*/1ull << 24);
-  c.compress = EnvBool("SGXBENCH_SPILL_COMPRESS", c.compress);
-  c.prefetch = EnvBool("SGXBENCH_SPILL_PREFETCH", c.prefetch);
-  return c;
 }
 
 BufferManager::BufferManager(const Config& config)
@@ -227,8 +215,8 @@ Status BufferManager::ReserveBudgetLocked(size_t need,
         "partition of " + std::to_string(need) +
         " bytes exceeds the buffer pool (" +
         std::to_string(config_.buffer_bytes) +
-        " bytes); raise SGXBENCH_BUFFER_BYTES or lower "
-        "SGXBENCH_PARTITION_ROWS");
+        " bytes); raise Config::buffer_bytes or lower "
+        "Config::partition_rows");
   }
   auto deadline = std::chrono::steady_clock::now() +
                   std::chrono::milliseconds(config_.pin_wait_timeout_ms);

@@ -119,6 +119,8 @@ class PagedColumnBase {
 
 class BufferManager {
  public:
+  /// \brief Pool configuration, set by the caller (the storage layer
+  /// reads no environment).
   struct Config {
     /// Trusted pool budget for decoded resident partitions, in bytes.
     size_t buffer_bytes = 256ull << 20;
@@ -139,11 +141,6 @@ class BufferManager {
     /// MEE key sealing the spill images.
     uint64_t mee_key = 0x5367785632204d45ull;
   };
-
-  /// \brief Config with SGXBENCH_BUFFER_BYTES, SGXBENCH_PARTITION_ROWS,
-  /// SGXBENCH_SPILL_COMPRESS, and SGXBENCH_SPILL_PREFETCH applied over the
-  /// defaults.
-  static Config ConfigFromEnv();
 
   explicit BufferManager(const Config& config);
   ~BufferManager();

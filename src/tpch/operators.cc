@@ -8,10 +8,7 @@
 #include "common/parallel.h"
 #include "common/timer.h"
 #include "exec/probe_pipeline.h"
-#include "join/cht_join.h"
 #include "join/materializer.h"
-#include "join/pht_join.h"
-#include "join/rho_join.h"
 #include "obs/metrics.h"
 #include "scan/column_scan.h"
 #include "scan/scan_kernels.h"
@@ -383,27 +380,6 @@ Result<Relation> GatherKeys(storage::ColumnView<uint32_t> keys,
   return result;
 }
 
-namespace {
-
-// The planner's join-flavour dispatch: RHO unless the cost model (or a
-// caller editing plan::DecideFor's decisions) picked the shared-table or
-// concise alternative.
-Result<join::JoinResult> DispatchJoin(join::JoinAlgorithm algo,
-                                      const Relation& build,
-                                      const Relation& probe,
-                                      const join::JoinConfig& jc) {
-  switch (algo) {
-    case join::JoinAlgorithm::kPht:
-      return join::PhtJoin(build, probe, jc);
-    case join::JoinAlgorithm::kCht:
-      return join::ChtJoin(build, probe, jc);
-    default:
-      return join::RhoJoin(build, probe, jc);
-  }
-}
-
-}  // namespace
-
 Result<JoinStepResult> MaterializingJoin(const Relation& build,
                                          const Relation& probe,
                                          const QueryConfig& config,
@@ -426,7 +402,7 @@ Result<JoinStepResult> MaterializingJoin(const Relation& build,
                           join::Materializer::kDefaultChunkTuples,
                           config.arena_pool);
   jc.output = &sink;
-  auto jr = DispatchJoin(algo, build, probe, jc);
+  auto jr = join::RunJoin(algo, build, probe, jc);
   if (!jr.ok()) return jr.status();
   step.matches = jr.value().matches;
   if (rec != nullptr) rec->Absorb(name, jr.value().phases);
@@ -455,7 +431,7 @@ Result<uint64_t> CountingJoin(const Relation& build, const Relation& probe,
                               join::JoinAlgorithm algo) {
   if (build.empty() || probe.empty()) return uint64_t{0};
   join::JoinConfig jc = ToJoinConfig(config, /*materialize=*/false);
-  auto jr = DispatchJoin(algo, build, probe, jc);
+  auto jr = join::RunJoin(algo, build, probe, jc);
   if (!jr.ok()) return jr.status();
   if (rec != nullptr) rec->Absorb(name, jr.value().phases);
   return jr.value().matches;

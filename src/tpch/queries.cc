@@ -96,7 +96,7 @@ std::pair<uint64_t, uint64_t> ReferenceQ12Grouped(const TpchDb& db) {
 }
 
 std::vector<uint64_t> ReferenceQ1Counts(const TpchDb& db) {
-  std::vector<uint64_t> counts(kNumReturnFlags * kNumLineStatuses, 0);
+  std::vector<uint64_t> counts(size_t{kNumReturnFlags} * kNumLineStatuses, 0);
   for (size_t i = 0; i < db.lineitem.num_rows; ++i) {
     if (db.lineitem.l_shipdate[i] <= kQ1Cutoff) {
       ++counts[db.lineitem.l_returnflag[i] * kNumLineStatuses +
@@ -107,7 +107,7 @@ std::vector<uint64_t> ReferenceQ1Counts(const TpchDb& db) {
 }
 
 std::vector<uint64_t> ReferenceQ1Sums(const TpchDb& db) {
-  std::vector<uint64_t> sums(kNumReturnFlags * kNumLineStatuses, 0);
+  std::vector<uint64_t> sums(size_t{kNumReturnFlags} * kNumLineStatuses, 0);
   for (size_t i = 0; i < db.lineitem.num_rows; ++i) {
     if (db.lineitem.l_shipdate[i] <= kQ1Cutoff) {
       sums[db.lineitem.l_returnflag[i] * kNumLineStatuses +

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <vector>
 
-#include "common/env.h"
 #include "common/random.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
@@ -21,17 +20,6 @@ uint64_t ScrambleRow(uint64_t key, uint64_t n) {
 }
 
 }  // namespace
-
-UpdateFeedOptions UpdateFeedOptions::FromEnv() {
-  UpdateFeedOptions o;
-  o.rows_per_sec = EnvDouble("SGXBENCH_TXN_FEED_RPS", o.rows_per_sec,
-                             /*lo=*/0.0, /*hi=*/1e9);
-  o.zipf_theta = EnvDouble("SGXBENCH_TXN_SKEW", o.zipf_theta,
-                           /*lo=*/0.0, /*hi=*/0.9999);
-  o.threads = static_cast<int>(
-      EnvInt("SGXBENCH_TXN_FEED_THREADS", o.threads, /*lo=*/1, /*hi=*/256));
-  return o;
-}
 
 struct UpdateFeed::Writer {
   int index = 0;

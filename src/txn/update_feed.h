@@ -28,6 +28,8 @@
 
 namespace sgxb::txn {
 
+/// \brief Feed configuration, set by the caller (the feed reads no
+/// environment).
 struct UpdateFeedOptions {
   /// Target aggregate commit rate over all writer threads.
   double rows_per_sec = 10000;
@@ -40,10 +42,6 @@ struct UpdateFeedOptions {
   /// Attribution domain for the feed's parks / COW counters (-1 = none);
   /// lets the bench separate feed-side from query-side avalanche cost.
   int obs_domain = -1;
-
-  /// \brief SGXBENCH_TXN_FEED_RPS / SGXBENCH_TXN_SKEW /
-  /// SGXBENCH_TXN_FEED_THREADS over the defaults above.
-  static UpdateFeedOptions FromEnv();
 };
 
 class UpdateFeed {

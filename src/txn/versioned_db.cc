@@ -5,7 +5,6 @@
 #include <chrono>
 #include <thread>
 
-#include "common/env.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 
@@ -50,13 +49,6 @@ obs::Histogram* HistCommitNs() {
 }
 
 }  // namespace
-
-TxnOptions TxnOptions::FromEnv() {
-  TxnOptions o;
-  o.chunk_rows = EnvUint("SGXBENCH_TXN_CHUNK_ROWS", o.chunk_rows,
-                         /*lo=*/64, /*hi=*/1ull << 22);
-  return o;
-}
 
 VersionedTpchDb::VersionedTpchDb(const tpch::TpchDbView& base,
                                  TxnOptions options)

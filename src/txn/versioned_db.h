@@ -60,6 +60,8 @@ struct UpdateOp {
   uint32_t value = 0;
 };
 
+/// \brief Versioning configuration, set by the caller (the txn layer reads
+/// no environment).
 struct TxnOptions {
   /// Rows per version chunk: the COW granule. Smaller chunks mean less
   /// write amplification per commit but more chain walks per scan.
@@ -71,9 +73,6 @@ struct TxnOptions {
   /// O(1) per commit since the retire list is epoch-ordered). Disable for
   /// tests that want to stage reclamation explicitly.
   bool reclaim_on_commit = true;
-
-  /// \brief SGXBENCH_TXN_CHUNK_ROWS over the defaults above.
-  static TxnOptions FromEnv();
 };
 
 /// \brief Monotonic write-path counters (process-lifetime totals for this

@@ -77,7 +77,9 @@ TEST_P(BTreeFuzzTest, AgreesWithMultimap) {
   bool first = true;
   for (auto it = oracle.begin(); it != oracle.end();
        it = oracle.upper_bound(it->first)) {
-    if (!first) ASSERT_GT(it->first, prev_key);
+    if (!first) {
+      ASSERT_GT(it->first, prev_key);
+    }
     prev_key = it->first;
     first = false;
     ASSERT_EQ(tree.ForEachMatch(it->first, [](uint32_t) {}),

@@ -7,36 +7,11 @@
 #include <tuple>
 
 #include "common/random.h"
-#include "join/cht_join.h"
-#include "join/crk_join.h"
 #include "join/data_gen.h"
-#include "join/inl_join.h"
-#include "join/mway_join.h"
-#include "join/pht_join.h"
-#include "join/rho_join.h"
+#include "join/join_common.h"
 
 namespace sgxb::join {
 namespace {
-
-Result<JoinResult> RunAlgo(JoinAlgorithm algo, const Relation& build,
-                           const Relation& probe,
-                           const JoinConfig& config) {
-  switch (algo) {
-    case JoinAlgorithm::kPht:
-      return PhtJoin(build, probe, config);
-    case JoinAlgorithm::kRho:
-      return RhoJoin(build, probe, config);
-    case JoinAlgorithm::kMway:
-      return MwayJoin(build, probe, config);
-    case JoinAlgorithm::kInl:
-      return InlJoin(build, probe, config);
-    case JoinAlgorithm::kCrk:
-      return CrkJoin(build, probe, config);
-    case JoinAlgorithm::kCht:
-      return ChtJoin(build, probe, config);
-  }
-  return Status::InvalidArgument("unknown");
-}
 
 constexpr JoinAlgorithm kAll[] = {JoinAlgorithm::kPht, JoinAlgorithm::kRho,
                                   JoinAlgorithm::kMway,
@@ -64,7 +39,7 @@ TEST_P(JoinSizeSweepTest, AllAlgorithmsMatchOracle) {
     cfg.num_threads = 3;
     cfg.radix_bits = 6;
     cfg.crack_bits = 5;
-    auto r = RunAlgo(algo, build, probe, cfg);
+    auto r = RunJoin(algo, build, probe, cfg);
     ASSERT_TRUE(r.ok()) << JoinAlgorithmToString(algo) << ": "
                         << r.status().ToString();
     EXPECT_EQ(r.value().matches, expected)
@@ -102,7 +77,7 @@ TEST_P(JoinSkewTest, AllAlgorithmsAgreeUnderSkew) {
     cfg.num_threads = 2;
     cfg.radix_bits = 6;
     cfg.crack_bits = 5;
-    auto r = RunAlgo(algo, build, probe, cfg);
+    auto r = RunJoin(algo, build, probe, cfg);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().matches, expected)
         << JoinAlgorithmToString(algo) << " theta " << theta;
@@ -130,7 +105,7 @@ TEST(JoinDuplicateBuildTest, ManyToManyCountsAreCorrect) {
     JoinConfig cfg;
     cfg.radix_bits = 4;
     cfg.crack_bits = 4;
-    auto r = RunAlgo(algo, build, probe, cfg);
+    auto r = RunJoin(algo, build, probe, cfg);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().matches, expected)
         << JoinAlgorithmToString(algo);
@@ -152,7 +127,7 @@ TEST(JoinDisjointDomainsTest, ZeroMatches) {
     JoinConfig cfg;
     cfg.radix_bits = 5;
     cfg.crack_bits = 4;
-    auto r = RunAlgo(algo, build, probe, cfg);
+    auto r = RunJoin(algo, build, probe, cfg);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().matches, 0u) << JoinAlgorithmToString(algo);
   }
@@ -181,7 +156,7 @@ TEST(JoinKeyRangeTest, HighBitKeysHandled) {
     cfg.radix_bits = 8;
     cfg.crack_bits = 6;
     cfg.num_threads = 2;
-    auto r = RunAlgo(algo, build, probe, cfg);
+    auto r = RunJoin(algo, build, probe, cfg);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value().matches, expected)
         << JoinAlgorithmToString(algo);
@@ -199,7 +174,7 @@ TEST(JoinPhaseAccountingTest, PhasesArePositiveAndNamed) {
   for (JoinAlgorithm algo : kAll) {
     JoinConfig cfg;
     cfg.radix_bits = 8;
-    auto r = RunAlgo(algo, build, probe, cfg).value();
+    auto r = RunJoin(algo, build, probe, cfg).value();
     ASSERT_FALSE(r.phases.phases.empty())
         << JoinAlgorithmToString(algo);
     for (const auto& phase : r.phases.phases) {

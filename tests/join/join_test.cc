@@ -8,39 +8,16 @@
 #include <tuple>
 
 #include "common/random.h"
-#include "join/cht_join.h"
 #include "join/crk_join.h"
 #include "join/data_gen.h"
-#include "join/inl_join.h"
 #include "join/join_common.h"
 #include "join/materializer.h"
-#include "join/mway_join.h"
 #include "join/pht_join.h"
 #include "join/rho_join.h"
 #include "sgx/enclave.h"
 
 namespace sgxb::join {
 namespace {
-
-Result<JoinResult> RunJoin(JoinAlgorithm algo, const Relation& build,
-                           const Relation& probe,
-                           const JoinConfig& config) {
-  switch (algo) {
-    case JoinAlgorithm::kPht:
-      return PhtJoin(build, probe, config);
-    case JoinAlgorithm::kRho:
-      return RhoJoin(build, probe, config);
-    case JoinAlgorithm::kMway:
-      return MwayJoin(build, probe, config);
-    case JoinAlgorithm::kInl:
-      return InlJoin(build, probe, config);
-    case JoinAlgorithm::kCrk:
-      return CrkJoin(build, probe, config);
-    case JoinAlgorithm::kCht:
-      return ChtJoin(build, probe, config);
-  }
-  return Status::InvalidArgument("unknown algorithm");
-}
 
 constexpr size_t kBuildN = 20000;
 constexpr size_t kProbeN = 80000;

@@ -117,7 +117,9 @@ TEST_P(ScatterKernelTest, PartitionsCorrectly) {
     bool first = true;
     for (uint64_t i = bounds[p]; i < bounds[p + 1]; ++i) {
       EXPECT_EQ(out[i].key & mask, p);
-      if (!first) EXPECT_GT(out[i].payload, prev_payload);
+      if (!first) {
+        EXPECT_GT(out[i].payload, prev_payload);
+      }
       prev_payload = out[i].payload;
       first = false;
     }

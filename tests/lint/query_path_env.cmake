@@ -1,20 +1,25 @@
-# Lint: the query path reads no environment.
+# Lint: no layer a query or commit runs through reads the environment.
 #
 #   cmake -DSRC_DIR=<repo>/src -P query_path_env.cmake
 #
-# Fails when a source file under src/{plan,tpch,join,scan,exec,perf,mem}
-# calls getenv, calls one of the common/env.h helpers (EnvString, EnvInt,
-# EnvUint, EnvDouble, EnvBool, EnvBoolOpt) or includes common/env.h. A
-# query is configured by its tpch::QueryConfig alone; process-level
-# settings (logging, tracing, serving limits) are read outside these
-# directories. Text after // is ignored, so comments may name the calls.
+# Fails when a source file under src/{plan,tpch,join,scan,exec,perf,mem,
+# serve,txn,storage,index,sync} calls getenv, calls one of the common/env.h
+# helpers (EnvString, EnvInt, EnvUint, EnvDouble, EnvBool, EnvBoolOpt) or
+# includes common/env.h. A query is configured by its tpch::QueryConfig,
+# and the serving, txn and storage layers by the option structs their
+# callers pass (ServerOptions, TxnOptions, UpdateFeedOptions,
+# BufferManager::Config). The process settings that remain (bench sizes,
+# logging, transition injection, trace and stats export) are read outside
+# these directories. Text after // is ignored, so comments may name the
+# calls.
 
 if(NOT SRC_DIR)
   message(FATAL_ERROR "usage: cmake -DSRC_DIR=<src dir> -P "
                       "${CMAKE_CURRENT_LIST_FILE}")
 endif()
 
-set(query_path_dirs plan tpch join scan exec perf mem)
+set(query_path_dirs plan tpch join scan exec perf mem serve txn storage index
+    sync)
 set(forbidden
     "getenv[ \t]*\\("
     "(^|[^A-Za-z0-9_])Env(String|Int|Uint|Double|Bool|BoolOpt)[ \t]*\\("
@@ -61,6 +66,7 @@ if(scanned EQUAL 0)
 endif()
 if(violations GREATER 0)
   message(FATAL_ERROR "${violations} environment read(s) on the query "
-                      "path; configure through tpch::QueryConfig instead")
+                      "path; configure through tpch::QueryConfig or the "
+                      "layer's option struct instead")
 endif()
 message(STATUS "query path reads no environment (${scanned} files)")

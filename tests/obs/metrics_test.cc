@@ -59,13 +59,10 @@ TEST(MetricsTest, GaugeSetAndAdd) {
   EXPECT_EQ(g->Value(), 7);
   g->Add(-10);
   EXPECT_EQ(g->Value(), -3);
-  g->Reset();
-  EXPECT_EQ(g->Value(), 0);
 }
 
 TEST(MetricsTest, HistogramBucketsByLog2) {
   Histogram* h = Registry::Global().GetHistogram("test.hist_buckets");
-  h->Reset();
   h->Record(1);     // bucket 0: [1, 2)
   h->Record(2);     // bucket 1: [2, 4)
   h->Record(3);     // bucket 1
@@ -84,7 +81,6 @@ TEST(MetricsTest, HistogramBucketsByLog2) {
 
 TEST(MetricsTest, HistogramMergesAcrossThreads) {
   Histogram* h = Registry::Global().GetHistogram("test.hist_mt");
-  h->Reset();
   constexpr int kThreads = 8;
   constexpr int kRecords = 5000;
   std::vector<std::thread> threads;

@@ -65,7 +65,9 @@ TEST_P(ColumnScanThreadsTest, RowIdScanCorrectAcrossThreadCounts) {
   for (uint64_t k = 0; k < count; ++k) {
     ASSERT_LT(ids[k], n);
     EXPECT_TRUE(col[ids[k]] >= 100 && col[ids[k]] <= 150);
-    if (k > 0) EXPECT_LT(ids[k - 1], ids[k]);
+    if (k > 0) {
+      EXPECT_LT(ids[k - 1], ids[k]);
+    }
   }
 }
 

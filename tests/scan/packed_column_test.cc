@@ -47,7 +47,9 @@ TEST_P(PackedWidthTest, PackRoundTripsEveryValue) {
     ASSERT_EQ(packed.Get(i), col[i]) << "w=" << w << " i=" << i;
   }
   // Compression: w+1 bits per value vs 32.
-  if (w <= 14) EXPECT_GT(packed.CompressionRatio(), 1.9);
+  if (w <= 14) {
+    EXPECT_GT(packed.CompressionRatio(), 1.9);
+  }
 }
 
 TEST_P(PackedWidthTest, ParallelScanMatchesScalarOracle) {

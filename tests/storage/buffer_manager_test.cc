@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -228,25 +227,6 @@ TEST(BufferManagerTest, PrefetchLoadsAheadOfThePin) {
   // Prefetching an already-resident partition is a no-op.
   col->PrefetchPartition(0);
   EXPECT_EQ(bm.stats().prefetch_loads, 4u);
-}
-
-TEST(BufferManagerTest, ConfigFromEnvReadsKnobs) {
-  setenv("SGXBENCH_BUFFER_BYTES", "1048576", 1);
-  setenv("SGXBENCH_PARTITION_ROWS", "8192", 1);
-  setenv("SGXBENCH_SPILL_COMPRESS", "0", 1);
-  setenv("SGXBENCH_SPILL_PREFETCH", "0", 1);
-  BufferManager::Config cfg = BufferManager::ConfigFromEnv();
-  EXPECT_EQ(cfg.buffer_bytes, 1u << 20);
-  EXPECT_EQ(cfg.partition_rows, 8192u);
-  EXPECT_FALSE(cfg.compress);
-  EXPECT_FALSE(cfg.prefetch);
-  unsetenv("SGXBENCH_BUFFER_BYTES");
-  unsetenv("SGXBENCH_PARTITION_ROWS");
-  unsetenv("SGXBENCH_SPILL_COMPRESS");
-  unsetenv("SGXBENCH_SPILL_PREFETCH");
-  BufferManager::Config defaults = BufferManager::ConfigFromEnv();
-  EXPECT_EQ(defaults.buffer_bytes, 256ull << 20);
-  EXPECT_TRUE(defaults.compress);
 }
 
 TEST(BufferManagerTest, CapacityWaiterSurvivesPinChurn) {

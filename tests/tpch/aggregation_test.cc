@@ -142,9 +142,9 @@ TEST(Q1Test, OpenLinesNeverReturned) {
   // receipts after CURRENTDATE; linestatus O means shipped after it.
   // Shipped-F lines can carry any flag, but O lines must be flag N.
   const auto counts = ReferenceQ1Counts(Db());
-  EXPECT_EQ(counts[kFlagA * kNumLineStatuses + kStatusO], 0u);
-  EXPECT_EQ(counts[kFlagR * kNumLineStatuses + kStatusO], 0u);
-  EXPECT_GT(counts[kFlagN * kNumLineStatuses + kStatusO], 0u);
+  EXPECT_EQ(counts[size_t{kFlagA} * kNumLineStatuses + kStatusO], 0u);
+  EXPECT_EQ(counts[size_t{kFlagR} * kNumLineStatuses + kStatusO], 0u);
+  EXPECT_GT(counts[size_t{kFlagN} * kNumLineStatuses + kStatusO], 0u);
 }
 
 TEST(Q6Test, MatchesReference) {

@@ -334,9 +334,17 @@ TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
   for (const auto& [query, expected] : queries) {
     const plan::CatalogEntry* e = plan::FindQuery(query);
     ASSERT_NE(e, nullptr);
-    for (join::JoinAlgorithm algo :
-         {join::JoinAlgorithm::kRho, join::JoinAlgorithm::kPht,
-          join::JoinAlgorithm::kCht}) {
+    // Each join's operator runs through join::RunJoin. The marker is a
+    // phase only that algorithm records, so a dispatcher that ran another
+    // join in its place fails; PHT and CHT both record build and probe.
+    const std::pair<join::JoinAlgorithm, const char*> algos[] = {
+        {join::JoinAlgorithm::kRho, "hist1"},
+        {join::JoinAlgorithm::kPht, nullptr},
+        {join::JoinAlgorithm::kCht, nullptr},
+        {join::JoinAlgorithm::kMway, "mergejoin"},
+        {join::JoinAlgorithm::kInl, "index_build"},
+        {join::JoinAlgorithm::kCrk, "crack_parallel"}};
+    for (const auto& [algo, marker] : algos) {
       for (KernelFlavor flavor :
            {KernelFlavor::kReference, KernelFlavor::kUnrolledReordered}) {
         QueryConfig cfg;
@@ -349,6 +357,14 @@ TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         EXPECT_EQ(r.value().count, expected)
             << "Q" << query << " " << join::JoinAlgorithmToString(algo);
+        if (marker == nullptr) continue;
+        bool ran = false;
+        for (const auto& phase : r.value().phases.phases) {
+          ran = ran || phase.name.ends_with(std::string(".") + marker);
+        }
+        EXPECT_TRUE(ran) << "Q" << query << " recorded no " << marker
+                         << " phase for "
+                         << join::JoinAlgorithmToString(algo);
       }
     }
   }
