@@ -4,29 +4,13 @@
 // without the optimization, and inside the enclave with the unroll-and-
 // reorder optimization. Paper shape: the optimization cuts query runtime
 // by 7% (Q19) to 30% (Q12); the average in-enclave overhead drops from
-// 42% to 15% over native.
+// 42% to 15% over native. Every query runs the paper's Section 6 setup:
+// QueryConfig::pipeline = false lowers the catalog plan to materializing
+// operators, and every materializing join is RHO.
 
 #include "bench_util.h"
-#include "plan/catalog.h"
-#include "plan/planner.h"
 
 using namespace sgxb;
-
-namespace {
-
-// The paper's Section 6 setup: the catalog plan lowered to materializing
-// operators with every join forced to RHO, whatever flavour the cost
-// model would pick.
-tpch::QueryResult RunRho(int query, const tpch::TpchDb& db,
-                         const tpch::QueryConfig& cfg) {
-  const plan::Plan& p = plan::FindQuery(query)->plan;
-  const tpch::TpchDbView view = tpch::ViewOf(db);
-  plan::PlanDecisions d = plan::DecideFor(p, view, cfg);
-  for (plan::JoinChoice& j : d.joins) j.algo = join::JoinAlgorithm::kRho;
-  return plan::ExecuteMaterializing(p, view, cfg, d).value();
-}
-
-}  // namespace
 
 int main() {
   core::PrintExperimentHeader(
@@ -53,6 +37,7 @@ int main() {
     tpch::QueryConfig cfg;
     cfg.num_threads = threads;
     cfg.radix_bits = core::FullScale() ? 14 : 10;
+    cfg.pipeline = false;
 
     // Every cell is the mean over core::Repeat (SGXBENCH_REPS) runs.
     const int reps = core::DefaultRepetitions();
@@ -61,7 +46,7 @@ int main() {
     uint64_t opt_count = 0;
     double native = 0;
     const double sgx_opt = core::Repeat(reps, [&] {
-      const tpch::QueryResult opt = RunRho(query, db, cfg);
+      const tpch::QueryResult opt = tpch::RunQuery(query, db, cfg).value();
       opt_count = opt.count;
       native += core::HostScaledNs(opt.phases, ExecutionSetting::kPlainCpu) /
                 reps;
@@ -72,7 +57,7 @@ int main() {
     cfg.flavor = KernelFlavor::kReference;
     uint64_t ref_count = 0;
     const double sgx_unopt = core::Repeat(reps, [&] {
-      const tpch::QueryResult ref = RunRho(query, db, cfg);
+      const tpch::QueryResult ref = tpch::RunQuery(query, db, cfg).value();
       ref_count = ref.count;
       return core::HostScaledNs(ref.phases,
                                 ExecutionSetting::kSgxDataInEnclave);

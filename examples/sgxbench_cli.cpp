@@ -1,7 +1,7 @@
 // sgxbench_cli: run individual experiments from the command line.
 //
 //   sgxbench_cli info
-//   sgxbench_cli join  <pht|rho|mway|inl|crk> [--threads N] [--mb B P]
+//   sgxbench_cli join  <pht|rho|mway|inl|crk|cht> [--threads N] [--mb B P]
 //                      [--setting plain|sgx-in|sgx-out] [--reference]
 //                      [--materialize] [--skew THETA]
 //   sgxbench_cli scan  [--mb N] [--threads N] [--sel PCT] [--rowids]
@@ -15,10 +15,13 @@
 // A thin driver over the public API — handy for exploring parameter
 // spaces that the fixed bench binaries do not sweep.
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/sgxbench.h"
@@ -29,6 +32,12 @@ using namespace sgxb;
 
 namespace {
 
+// The `join` command's names, one per join::JoinAlgorithm.
+constexpr std::pair<const char*, join::JoinAlgorithm> kJoinNames[] = {
+    {"pht", join::JoinAlgorithm::kPht},   {"rho", join::JoinAlgorithm::kRho},
+    {"mway", join::JoinAlgorithm::kMway}, {"inl", join::JoinAlgorithm::kInl},
+    {"crk", join::JoinAlgorithm::kCrk},   {"cht", join::JoinAlgorithm::kCht}};
+
 int Usage() {
   std::string queries;
   for (const plan::CatalogEntry& e : plan::Catalog()) {
@@ -38,7 +47,7 @@ int Usage() {
       stderr,
       "usage:\n"
       "  sgxbench_cli info\n"
-      "  sgxbench_cli join <pht|rho|mway|inl|crk> [--threads N]\n"
+      "  sgxbench_cli join <pht|rho|mway|inl|crk|cht> [--threads N]\n"
       "               [--mb BUILD PROBE] [--setting plain|sgx-in|sgx-out]\n"
       "               [--reference] [--materialize] [--skew THETA]\n"
       "  sgxbench_cli scan [--mb N] [--threads N] [--sel PCT] [--rowids]\n"
@@ -138,6 +147,12 @@ int RunInfo() {
 }
 
 int RunJoin(const Args& args) {
+  const std::string& name = args.positional[1];
+  const auto* known = std::find_if(
+      std::begin(kJoinNames), std::end(kJoinNames),
+      [&](const auto& entry) { return name == entry.first; });
+  if (known == std::end(kJoinNames)) return Usage();
+
   const size_t build_n =
       BytesToTuples(static_cast<size_t>(args.build_mb * 1_MiB));
   const size_t probe_n =
@@ -168,13 +183,8 @@ int RunJoin(const Args& args) {
   cfg.enclave = enclave;
   cfg.materialize = args.materialize;
 
-  const std::string& name = args.positional[1];
-  Result<join::JoinResult> r = Status::InvalidArgument("unknown join");
-  if (name == "pht") r = join::PhtJoin(build, probe, cfg);
-  if (name == "rho") r = join::RhoJoin(build, probe, cfg);
-  if (name == "mway") r = join::MwayJoin(build, probe, cfg);
-  if (name == "inl") r = join::InlJoin(build, probe, cfg);
-  if (name == "crk") r = join::CrkJoin(build, probe, cfg);
+  Result<join::JoinResult> r =
+      join::RunJoin(known->second, build, probe, cfg);
   if (!r.ok()) {
     std::fprintf(stderr, "join failed: %s\n",
                  r.status().ToString().c_str());

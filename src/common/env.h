@@ -4,10 +4,8 @@
 // each with slightly different malformed-input behaviour (silently ignored,
 // clamped, or accepted as garbage). These helpers centralize the contract:
 // a knob either parses cleanly inside its valid range and is used, or the
-// fallback applies and a warning is printed once per variable. Warnings go
-// straight to stderr (not SGXB_LOG) because the logging level itself is an
-// env knob — routing through the logger would recurse during its first
-// initialization.
+// fallback applies and a warning is printed once per variable, straight to
+// stderr.
 
 #ifndef SGXB_COMMON_ENV_H_
 #define SGXB_COMMON_ENV_H_

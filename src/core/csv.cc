@@ -1,7 +1,8 @@
 #include "core/csv.h"
 
+#include <cstdio>
+
 #include "common/env.h"
-#include "common/logging.h"
 
 namespace sgxb::core {
 
@@ -48,8 +49,8 @@ std::optional<CsvWriter> MaybeCsvFor(const std::string& experiment_id) {
   std::string path = *dir + "/" + experiment_id + ".csv";
   auto writer = CsvWriter::Open(path);
   if (!writer.ok()) {
-    SGXB_LOG(kWarning) << "CSV export disabled: "
-                       << writer.status().ToString();
+    std::fprintf(stderr, "CSV export disabled: %s\n",
+                 writer.status().ToString().c_str());
     return std::nullopt;
   }
   return std::move(writer).value();

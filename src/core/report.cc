@@ -1,8 +1,8 @@
 #include "core/report.h"
 
 #include <cstdio>
+#include <cstdlib>
 
-#include "common/logging.h"
 #include "core/csv.h"
 
 namespace sgxb::core {
@@ -25,9 +25,11 @@ TablePrinter::TablePrinter(std::vector<std::string> columns)
     : columns_(std::move(columns)) {}
 
 void TablePrinter::AddRow(std::vector<std::string> cells) {
-  SGXB_CHECK(cells.size() == columns_.size())
-      << "row has " << cells.size() << " cells, expected "
-      << columns_.size();
+  if (cells.size() != columns_.size()) {
+    std::fprintf(stderr, "TablePrinter: row has %zu cells, expected %zu\n",
+                 cells.size(), columns_.size());
+    std::abort();
+  }
   rows_.push_back(std::move(cells));
 }
 
@@ -62,7 +64,7 @@ void TablePrinter::ExportCsv(const std::string& experiment_id) const {
   for (const auto& row : rows_) csv->WriteRow(row);
   Status st = csv->Close();
   if (!st.ok()) {
-    SGXB_LOG(kWarning) << "CSV export failed: " << st.ToString();
+    std::fprintf(stderr, "CSV export failed: %s\n", st.ToString().c_str());
   }
 }
 

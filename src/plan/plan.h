@@ -6,10 +6,8 @@
 // representation: an immutable tree of plan nodes (scan / hash-join /
 // union-all / aggregate) over the integer TPC-H schema, built through
 // PlanBuilder and validated once at construction. The planner
-// (plan/planner.h) lowers a Plan to either execution mode, choosing join
-// flavour, probe scheduling, and breaker placement from the calibrated
-// cost model — so new queries are catalog entries (plan/catalog.h), not
-// new driver code.
+// (plan/planner.h) lowers a Plan to either execution mode — so new
+// queries are catalog entries (plan/catalog.h), not new driver code.
 
 #ifndef SGXB_PLAN_PLAN_H_
 #define SGXB_PLAN_PLAN_H_
@@ -219,8 +217,8 @@ class Plan {
     return output_table_[static_cast<size_t>(id)];
   }
 
-  /// \brief Indented structural dump (no costs; the planner's Explain
-  /// adds per-node decisions on top of this).
+  /// \brief Indented structural dump (the planner's Explain puts one
+  /// line of decisions above it).
   std::string ToText() const;
 
  private:

@@ -8,10 +8,6 @@
 #include <vector>
 
 #include "common/timer.h"
-#include "join/cht_join.h"
-#include "join/hash_table.h"
-#include "join/pht_join.h"
-#include "perf/cost_model.h"
 #include "tpch/operators.h"
 
 namespace sgxb::plan {
@@ -21,225 +17,6 @@ namespace {
 using tpch::QueryConfig;
 using tpch::QueryResult;
 using tpch::RowIdList;
-
-size_t ColWidth(ColId col) {
-  return TypeOf(col) == ColType::kU32 ? sizeof(uint32_t) : sizeof(uint8_t);
-}
-
-int PopCount(uint64_t v) {
-  int n = 0;
-  while (v != 0) {
-    v &= v - 1;
-    ++n;
-  }
-  return n;
-}
-
-// --- Cardinality priors ---------------------------------------------------
-// Fixed selectivity priors per predicate shape. The repo has no column
-// statistics (the generator's distributions are uniform), so the priors
-// only need to rank alternatives sanely, not predict row counts exactly.
-
-double Selectivity(const Predicate& p) {
-  switch (p.kind) {
-    case Predicate::Kind::kU32Range:
-      return p.lo == p.hi ? 0.05 : 0.3;
-    case Predicate::Kind::kU8Range:
-      return p.lo == p.hi ? 1.0 / 16.0 : 0.2;
-    case Predicate::Kind::kU8InSet:
-      return std::min(1.0, PopCount(p.mask) / 16.0);
-    case Predicate::Kind::kColLess:
-      return 0.5;
-  }
-  return 1.0;
-}
-
-void EstimateRows(const Plan& plan, const tpch::TpchDbView& db, int id,
-                  std::vector<double>* est) {
-  const PlanNode& n = plan.node(id);
-  double rows = 0;
-  switch (n.kind) {
-    case PlanNode::Kind::kScan: {
-      rows = static_cast<double>(TableRows(db, n.table));
-      for (const Predicate& p : n.predicates) rows *= Selectivity(p);
-      break;
-    }
-    case PlanNode::Kind::kJoin: {
-      EstimateRows(plan, db, n.build, est);
-      EstimateRows(plan, db, n.probe, est);
-      // Semi-join shape: a probe row survives iff its key hits the build
-      // side, so the join selects the build side's surviving fraction of
-      // the probe rows.
-      const double build_table = static_cast<double>(
-          std::max<size_t>(TableRows(db, plan.OutputTable(n.build)), 1));
-      const double build_frac =
-          std::min(1.0, (*est)[static_cast<size_t>(n.build)] / build_table);
-      rows = (*est)[static_cast<size_t>(n.probe)] * build_frac;
-      break;
-    }
-    case PlanNode::Kind::kUnionAll: {
-      for (int c : n.children) {
-        EstimateRows(plan, db, c, est);
-        rows += (*est)[static_cast<size_t>(c)];
-      }
-      break;
-    }
-    case PlanNode::Kind::kAggregate: {
-      EstimateRows(plan, db, n.input, est);
-      rows = (*est)[static_cast<size_t>(n.input)];
-      break;
-    }
-  }
-  (*est)[static_cast<size_t>(id)] = rows;
-}
-
-// --- Join flavour costing -------------------------------------------------
-// One AccessProfile per flavour, shaped like the profiles the joins
-// themselves record: RHO pays two streaming partition passes and probes
-// cache-resident partitions; PHT builds and probes one shared table whose
-// working set is the whole table; CHT is PHT with a second build pass and
-// a smaller (concise) table.
-
-perf::ExecutionEnv EnvOf(const QueryConfig& config) {
-  perf::ExecutionEnv env;
-  env.setting = config.setting;
-  env.threads = config.num_threads;
-  return env;
-}
-
-perf::AccessProfile JoinProfile(join::JoinAlgorithm algo, double build_rows,
-                                double probe_rows, bool batched) {
-  const auto b = static_cast<uint64_t>(std::max(build_rows, 1.0));
-  const auto pr = static_cast<uint64_t>(std::max(probe_rows, 1.0));
-  perf::AccessProfile p;
-  p.ilp = perf::IlpClass::kUnrolledReordered;
-  switch (algo) {
-    case join::JoinAlgorithm::kRho: {
-      const uint64_t tuples = b + pr;
-      p.seq_read_bytes = 2 * tuples * sizeof(Tuple);
-      p.seq_write_bytes = 2 * tuples * sizeof(Tuple);
-      p.rand_reads = pr;
-      p.rand_read_working_set = std::min<size_t>(
-          join::BucketChainTable::BytesFor(b), size_t{256} * 1024);
-      p.hidden_random_reads = pr;  // partition fits cache after the passes
-      p.loop_iterations = 2 * tuples;
-      break;
-    }
-    case join::JoinAlgorithm::kPht: {
-      const size_t ws = join::PhtHashTableBytes(b);
-      p.seq_read_bytes = (b + pr) * sizeof(Tuple);
-      p.rand_writes = b;
-      p.rand_write_working_set = ws;
-      p.rand_reads = pr;
-      p.rand_read_working_set = ws;
-      if (batched) {
-        p.hidden_random_reads = pr;
-        p.software_mlp = true;
-      }
-      p.loop_iterations = b + pr;
-      break;
-    }
-    case join::JoinAlgorithm::kCht: {
-      const size_t ws = join::ChtTableBytes(b);
-      p.seq_read_bytes = (2 * b + pr) * sizeof(Tuple);
-      p.rand_writes = b;
-      p.rand_write_working_set = ws;
-      p.rand_reads = pr;
-      p.rand_read_working_set = ws;
-      if (batched) {
-        p.hidden_random_reads = pr;
-        p.software_mlp = true;
-      }
-      p.loop_iterations = 2 * b + pr;
-      break;
-    }
-    default:
-      break;
-  }
-  return p;
-}
-
-// --- Whole-plan mode costing ----------------------------------------------
-// Per node, the cost the two lowerings do NOT share: the materializing
-// path pays a write + re-read round trip for every row-id list, gathered
-// relation, and join intermediate (perf::MaterializationTrafficNs — the
-// traffic class enclave memory encryption penalizes hardest), while the
-// fused path replaces the joins' partition passes with unpartitioned
-// probes of shared tables. Scanned base-column traffic is identical and
-// included on both sides so the totals stay interpretable as runtimes.
-
-void EstimateModeCosts(const Plan& plan, const tpch::TpchDbView& db,
-                       const QueryConfig& config, PlanDecisions* d) {
-  const perf::CostModel& model = perf::CostModel::Reference();
-  const perf::ExecutionEnv env = EnvOf(config);
-  const bool batched = d->probe_mode != exec::ProbeMode::kTupleAtATime;
-  double mat = 0;
-  double fused = 0;
-  for (size_t id = 0; id < plan.nodes().size(); ++id) {
-    const PlanNode& n = plan.node(static_cast<int>(id));
-    const double out_rows = d->est_rows[id];
-    switch (n.kind) {
-      case PlanNode::Kind::kScan: {
-        const size_t rows = TableRows(db, n.table);
-        size_t col_bytes = 0;
-        for (const Predicate& p : n.predicates) {
-          col_bytes += rows * ColWidth(p.col);
-          if (p.kind == Predicate::Kind::kColLess) {
-            col_bytes += rows * ColWidth(p.rhs);
-          }
-        }
-        perf::AccessProfile sp;
-        sp.seq_read_bytes = col_bytes;
-        sp.loop_iterations = rows;
-        sp.ilp = perf::IlpClass::kUnrolledReordered;
-        const double scan_ns = model.EstimateNanos(sp, env);
-        mat += scan_ns;
-        fused += scan_ns;
-        // One materialized row-id list per filter/refine step.
-        const double list_bytes =
-            out_rows * sizeof(uint64_t) *
-            std::max<size_t>(n.predicates.size(), 1);
-        mat += perf::MaterializationTrafficNs(
-            model, static_cast<uint64_t>(list_bytes), env);
-        break;
-      }
-      case PlanNode::Kind::kJoin: {
-        const double build_rows = d->est_rows[static_cast<size_t>(n.build)];
-        const double probe_rows = d->est_rows[static_cast<size_t>(n.probe)];
-        // Materializing: gathered key relations in, matched row ids out,
-        // plus the chosen flavour's own cost.
-        mat += d->joins[id].cost_ns;
-        mat += perf::MaterializationTrafficNs(
-            model,
-            static_cast<uint64_t>((build_rows + probe_rows + out_rows) *
-                                  sizeof(Tuple)),
-            env);
-        // Fused: build the shared table once, probe it in the pipeline.
-        const size_t ws = join::BucketChainTable::BytesFor(std::max<size_t>(
-            TableRows(db, plan.OutputTable(n.build)), 1));
-        perf::AccessProfile fp;
-        fp.rand_writes = static_cast<uint64_t>(std::max(build_rows, 1.0));
-        fp.rand_write_working_set = ws;
-        fp.rand_reads = static_cast<uint64_t>(std::max(probe_rows, 1.0));
-        fp.rand_read_working_set = ws;
-        if (batched) {
-          fp.hidden_random_reads = fp.rand_reads;
-          fp.software_mlp = true;
-        }
-        fp.loop_iterations = fp.rand_writes + fp.rand_reads;
-        fp.ilp = perf::IlpClass::kUnrolledReordered;
-        fused += model.EstimateNanos(fp, env);
-        break;
-      }
-      case PlanNode::Kind::kUnionAll:
-      case PlanNode::Kind::kAggregate:
-        // The final aggregate touches the same rows in both modes.
-        break;
-    }
-  }
-  d->materializing_cost_ns = mat;
-  d->fused_cost_ns = fused;
-}
 
 }  // namespace
 
@@ -254,144 +31,56 @@ bool FusedLowerable(const Plan& plan) {
   return true;
 }
 
-PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
+PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& /*db*/,
                         const QueryConfig& config) {
   PlanDecisions d;
-  const size_t num_nodes = plan.nodes().size();
-  d.est_rows.assign(num_nodes, 0);
-  d.joins.assign(num_nodes, JoinChoice{});
-  if (!plan.valid()) return d;
+  // A plan the fused lowering can drive runs fused unless the config
+  // asks for the paper's operator-at-a-time path; every join of a
+  // materializing lowering runs RHO.
+  d.forced = config.pipeline.has_value();
+  d.fused = config.pipeline.value_or(true) && FusedLowerable(plan);
+  d.joins.assign(plan.nodes().size(), join::JoinAlgorithm::kRho);
 
-  // Probe scheduling resolves exactly as the joins resolve their own.
-  {
-    join::JoinConfig jc;
-    jc.flavor = config.flavor;
-    jc.probe_mode = config.probe_mode;
-    jc.probe_batch = config.probe_batch;
-    d.probe_mode = join::EffectiveProbeMode(jc);
-    d.probe_batch = join::EffectiveProbeWidth(jc, d.probe_mode);
-  }
-
-  EstimateRows(plan, db, plan.root(), &d.est_rows);
-
-  const bool batched = d.probe_mode != exec::ProbeMode::kTupleAtATime;
-  const perf::CostModel& model = perf::CostModel::Reference();
-  const perf::ExecutionEnv env = EnvOf(config);
-  for (size_t id = 0; id < num_nodes; ++id) {
-    const PlanNode& n = plan.node(static_cast<int>(id));
-    if (n.kind != PlanNode::Kind::kJoin) continue;
-    const double build_rows = d.est_rows[static_cast<size_t>(n.build)];
-    const double probe_rows = d.est_rows[static_cast<size_t>(n.probe)];
-    JoinChoice& choice = d.joins[id];
-    const join::JoinAlgorithm candidates[] = {join::JoinAlgorithm::kRho,
-                                              join::JoinAlgorithm::kPht,
-                                              join::JoinAlgorithm::kCht};
-    for (join::JoinAlgorithm algo : candidates) {
-      const double cost = model.EstimateNanos(
-          JoinProfile(algo, build_rows, probe_rows, batched), env);
-      if (choice.cost_ns == 0 || cost < choice.cost_ns) {
-        choice.algo = algo;
-        choice.cost_ns = cost;
-      }
-    }
-  }
-
-  EstimateModeCosts(plan, db, config, &d);
-
-  // Execution mode: explicit config wins, then the cost model. Plans the
-  // fused lowering cannot drive (a join probing a non-scan) always
-  // materialize.
-  if (config.pipeline.has_value()) {
-    d.fused = *config.pipeline;
-  } else if (FusedLowerable(plan)) {
-    d.fused = d.fused_cost_ns < d.materializing_cost_ns;
-    d.mode_cost_based = true;
-  }
-  if (d.fused && !FusedLowerable(plan)) d.fused = false;
+  // Fused probes resolve their scheduling as a PHT join would.
+  join::JoinConfig jc;
+  jc.flavor = config.flavor;
+  jc.probe_mode = config.probe_mode;
+  jc.probe_batch = config.probe_batch;
+  d.probe_mode = join::EffectiveProbeMode(jc);
+  d.probe_batch = join::EffectiveProbeWidth(jc, d.probe_mode);
   return d;
 }
 
-// --- Explain --------------------------------------------------------------
-
-namespace {
-
-const char* AggKindName(AggSpec::Kind kind) {
-  switch (kind) {
-    case AggSpec::Kind::kCountStar:
-      return "count(*)";
-    case AggSpec::Kind::kGroupCountViaFk:
-      return "group-count-via-fk";
-    case AggSpec::Kind::kGroupSum2:
-      return "group-count-sum";
-    case AggSpec::Kind::kSumProduct:
-      return "sum-product";
-  }
-  return "?";
-}
-
-void DumpNode(const Plan& plan, const PlanDecisions& d, int id, int depth,
-              std::ostringstream& os) {
-  const PlanNode& n = plan.node(id);
-  const std::string pad(static_cast<size_t>(depth) * 2, ' ');
-  os << pad << "#" << id << " ";
-  switch (n.kind) {
-    case PlanNode::Kind::kScan: {
-      os << "Scan(" << TableName(n.table) << ") ~"
-         << static_cast<uint64_t>(d.est_rows[static_cast<size_t>(id)])
-         << " rows\n";
-      for (const Predicate& p : n.predicates) {
-        os << pad << "    where " << p.ToString() << "\n";
-      }
-      break;
-    }
-    case PlanNode::Kind::kJoin: {
-      const JoinChoice& c = d.joins[static_cast<size_t>(id)];
-      os << "Join(" << ColName(n.build_key) << " = " << ColName(n.probe_key)
-         << ") [" << join::JoinAlgorithmToString(c.algo) << ", est_cost="
-         << static_cast<uint64_t>(c.cost_ns) << "ns] ~"
-         << static_cast<uint64_t>(d.est_rows[static_cast<size_t>(id)])
-         << " rows\n";
-      DumpNode(plan, d, n.build, depth + 1, os);
-      DumpNode(plan, d, n.probe, depth + 1, os);
-      break;
-    }
-    case PlanNode::Kind::kUnionAll: {
-      os << "UnionAll ~"
-         << static_cast<uint64_t>(d.est_rows[static_cast<size_t>(id)])
-         << " rows\n";
-      for (int c : n.children) DumpNode(plan, d, c, depth + 1, os);
-      break;
-    }
-    case PlanNode::Kind::kAggregate: {
-      os << "Aggregate " << AggKindName(n.agg.kind) << "\n";
-      DumpNode(plan, d, n.input, depth + 1, os);
-      break;
-    }
-  }
-}
-
-}  // namespace
-
 std::string Explain(const Plan& plan, const PlanDecisions& d) {
   std::ostringstream os;
-  os << "plan " << plan.name() << ": mode="
-     << (d.fused ? "fused" : "materializing")
-     << (d.mode_cost_based ? " (cost model)" : " (forced)")
-     << " fused~" << static_cast<uint64_t>(d.fused_cost_ns) << "ns"
-     << " materializing~"
-     << static_cast<uint64_t>(d.materializing_cost_ns) << "ns"
-     << " probe=" << exec::ProbeModeToString(d.probe_mode) << " x"
-     << d.probe_batch << "\n";
-  if (plan.valid()) DumpNode(plan, d, plan.root(), 0, os);
+  const char* why = !FusedLowerable(plan) ? "not fusable"
+                    : d.forced           ? "forced"
+                                         : "default";
+  os << "mode=" << (d.fused ? "fused" : "materializing") << " (" << why
+     << ")";
+  if (d.fused) {
+    os << " probe=" << exec::ProbeModeToString(d.probe_mode) << " x"
+       << d.probe_batch;
+  } else {
+    const char* sep = " joins=";
+    for (size_t id = 0; id < plan.nodes().size(); ++id) {
+      if (plan.node(static_cast<int>(id)).kind != PlanNode::Kind::kJoin) {
+        continue;
+      }
+      os << sep << join::JoinAlgorithmToString(d.joins[id]);
+      sep = ",";
+    }
+  }
+  os << "\n" << plan.ToText();
   return os.str();
 }
 
 // --- Materializing lowering ----------------------------------------------
 // Reproduces the operator-at-a-time drivers generically: filters drive
 // the first predicate, refinements the rest, joins gather both key
-// columns and run the chosen flavour. A count(*) root lowers its final
-// join as a CountingJoin (no output materialization), exactly like the
-// hand-written query bodies did.
+// columns and run PlanDecisions::joins (RHO). A count(*) root lowers its
+// final join as a CountingJoin (no output materialization), exactly like
+// the hand-written query bodies did.
 
 namespace {
 
@@ -515,7 +204,7 @@ Result<RowIdList> MatExecutor::ExecJoin(int id, const std::string& suffix) {
   if (!probe.ok()) return probe.status();
   auto step = tpch::MaterializingJoin(
       build.value(), probe.value(), config_, &rec_, JoinName(n, suffix),
-      dec_.joins[static_cast<size_t>(id)].algo);
+      dec_.joins[static_cast<size_t>(id)]);
   if (!step.ok()) return step.status();
   return std::move(step.value().probe_rows);
 }
@@ -583,7 +272,7 @@ Result<uint64_t> MatExecutor::ExecCount(int id, const std::string& suffix) {
       if (!probe.ok()) return probe.status();
       return tpch::CountingJoin(build.value(), probe.value(), config_,
                                 &rec_, JoinName(n, suffix),
-                                dec_.joins[static_cast<size_t>(id)].algo);
+                                dec_.joins[static_cast<size_t>(id)]);
     }
     case PlanNode::Kind::kUnionAll: {
       uint64_t total = 0;

@@ -1,13 +1,11 @@
 // The planner: lowers a logical Plan to execution (docs/planner.md).
 //
-// Lowering picks one of the two execution modes the repo grew by hand —
-// the paper's materializing operator-at-a-time path (tpch/operators.h)
-// or a chain of fused RunMorselPipeline stages (exec/pipeline.h) — and,
-// per join node, a join flavour (RHO / PHT / CHT) plus probe scheduling.
-// QueryConfig is the only input: an explicit field wins, otherwise the
-// kernel flavour's default or the calibrated cost model (perf/cost_model.h)
-// evaluated over cardinality estimates from the bound database view
-// decides. Nothing here reads the environment.
+// There are two lowerings: a chain of fused RunMorselPipeline stages
+// (exec/pipeline.h) and the paper's materializing operator-at-a-time
+// path (tpch/operators.h), in which every join runs RHO, the paper's
+// join. A plan lowers fused whenever ExecuteFused can drive it, unless
+// QueryConfig::pipeline is false; everything else lowers materializing.
+// Nothing here reads the environment or estimates a cost.
 //
 // Compiled into sgxb_tpch (it drives the tpch operators); the plan IR
 // itself (sgxb_plan) stays free of execution dependencies.
@@ -25,46 +23,33 @@
 
 namespace sgxb::plan {
 
-/// \brief Per-join-node lowering decision.
-struct JoinChoice {
-  join::JoinAlgorithm algo = join::JoinAlgorithm::kRho;
-  /// Estimated cost of the chosen flavour (materializing form), ns.
-  double cost_ns = 0;
-};
-
-/// \brief Everything the planner decided for one (plan, db, config)
-/// binding. est_rows/joins are indexed by plan node id.
+/// \brief Everything the planner decided for one (plan, config) binding.
 struct PlanDecisions {
   /// Chosen lowering: fused morsel pipelines vs materializing operators.
   bool fused = false;
-  /// True when the mode came from the cost model (QueryConfig::pipeline
-  /// unset).
-  bool mode_cost_based = false;
-  /// Modeled cost of each whole-plan lowering, ns (0 = not evaluated).
-  double fused_cost_ns = 0;
-  double materializing_cost_ns = 0;
-  /// Probe scheduling for every hash probe in the plan (fused stages and
-  /// the join flavours' probe loops resolve identically).
+  /// True when QueryConfig::pipeline was set.
+  bool forced = false;
+  /// Probe scheduling of the fused lowering's hash probes, resolved as a
+  /// PHT join resolves its own. A materializing join resolves its
+  /// scheduling from QueryConfig itself (RHO probes tuple-at-a-time
+  /// unless QueryConfig::probe_mode is set).
   exec::ProbeMode probe_mode = exec::ProbeMode::kGroupPrefetch;
   int probe_batch = 0;
-  /// Estimated output rows per node (selectivity priors x cardinality).
-  std::vector<double> est_rows;
-  /// Join flavour decision per node (meaningful at kJoin nodes).
-  std::vector<JoinChoice> joins;
+  /// Join algorithm per plan node id (meaningful at kJoin nodes), used by
+  /// the materializing lowering: RHO everywhere. Callers may edit it
+  /// before ExecuteMaterializing to run another of the six joins.
+  std::vector<join::JoinAlgorithm> joins;
 };
 
-/// \brief Computes every lowering decision for `plan` bound to `db`
-/// under `config`. Deterministic; does not execute anything. Callers
-/// that need a fixed lowering (bench_fig17_tpch forces every join to
-/// RHO) edit the returned decisions and pass them to ExecuteFused or
-/// ExecuteMaterializing.
+/// \brief Computes the lowering decisions for `plan` under `config`.
+/// Deterministic and cheap; does not execute anything, and does not
+/// consult `db`.
 PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
                         const tpch::QueryConfig& config);
 
-/// \brief Plan dump annotated with the decisions: per-node estimated
-/// rows, join flavour / probe mode / estimated cost, and the chosen
-/// mode with both modeled lowering costs (`sgxbench_cli query` prints it
-/// after each result).
+/// \brief One header line with the decisions (the lowering and why, then
+/// the fused probe mode or the materializing joins' algorithms) over
+/// Plan::ToText() (`sgxbench_cli query` prints it after each result).
 std::string Explain(const Plan& plan, const PlanDecisions& decisions);
 
 /// \brief Executes `plan` with the given decisions through the

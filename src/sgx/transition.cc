@@ -1,9 +1,9 @@
 #include "sgx/transition.h"
 
 #include <atomic>
+#include <cstdio>
 
 #include "common/env.h"
-#include "common/logging.h"
 #include "common/timer.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -75,7 +75,9 @@ void EnclaveEnter() {
 }
 
 void EnclaveExit() {
-  SGXB_CHECK(t_enclave_depth > 0) << "EnclaveExit without EnclaveEnter";
+  if (t_enclave_depth <= 0) {
+    std::fprintf(stderr, "EnclaveExit without EnclaveEnter\n");
+  }
   if (--t_enclave_depth == 0 && t_ecall_begin_tsc != 0) {
     obs::TraceComplete("ecall", "sgx", t_ecall_begin_tsc, ReadTsc());
     t_ecall_begin_tsc = 0;

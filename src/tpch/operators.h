@@ -48,8 +48,10 @@ struct QueryConfig {
   mem::ArenaPool* arena_pool = nullptr;
   /// Fused, morsel-driven execution (docs/pipelines.md): run each query
   /// as a short DAG of pipelines with per-morsel selection vectors
-  /// instead of the paper's operator-at-a-time materialization. Unset =
-  /// the planner's cost model picks the mode per plan (docs/planner.md).
+  /// instead of the paper's operator-at-a-time materialization. Unset or
+  /// true = fused whenever the plan can be (every catalog plan can);
+  /// false = the paper's materializing path, every join RHO
+  /// (docs/planner.md).
   std::optional<bool> pipeline;
   /// Metrics attribution domain for this query's report (see
   /// Registry::AcquireDomain in obs/metrics.h); -1 = unattributed, the
@@ -174,8 +176,8 @@ struct JoinStepResult {
 };
 
 /// \brief Materializing hash-join step; extracts probe-side row ids.
-/// `algo` picks the flavour (RHO default; PHT and CHT are the planner's
-/// cost-model alternatives — all three honor the materializer sink).
+/// `algo` picks the join (RHO, the paper's, by default; any of the six
+/// runs through join::RunJoin and honours the materializer sink).
 Result<JoinStepResult> MaterializingJoin(
     const Relation& build, const Relation& probe, const QueryConfig& config,
     OpRecorder* rec, const std::string& name,

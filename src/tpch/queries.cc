@@ -10,11 +10,10 @@ namespace sgxb::tpch {
 
 // Every query runs through the planner now: the catalog
 // (plan/catalog.h) declares each query as a logical plan, and
-// plan::ExecutePlan picks the lowering (materializing operators vs
-// fused pipelines) plus the per-join flavour. The hand-written
-// per-query drivers this file used to hold are gone; only the
-// single-threaded reference oracles remain, deliberately naive and
-// independent of the plan layer.
+// plan::ExecutePlan picks the lowering (fused pipelines unless
+// QueryConfig::pipeline is false). The hand-written per-query drivers
+// this file used to hold are gone; only the single-threaded reference
+// oracles remain, deliberately naive and independent of the plan layer.
 
 namespace {
 

@@ -5,12 +5,10 @@
 // Following the paper's setup: only scans and joins remain, the final
 // aggregation is count(*), and dates and categorical strings are
 // integers. RunQuery is the one entry point: it runs the query's catalog
-// plan through the planner (plan/planner.h), which picks the lowering
-// (materializing operators or fused pipelines) and each join's flavour
-// (RHO / PHT / CHT) from the QueryConfig, else the cost model. The
-// paper's own setup — fully materializing, every join RHO — is what
-// bench_fig17_tpch forces through plan::DecideFor and
-// plan::ExecuteMaterializing.
+// plan through the planner (plan/planner.h), which lowers it fused
+// unless QueryConfig::pipeline is false. The paper's own setup — fully
+// materializing, every join RHO — is what `pipeline = false` runs
+// (bench_fig17_tpch).
 
 #ifndef SGXB_TPCH_QUERIES_H_
 #define SGXB_TPCH_QUERIES_H_
@@ -51,8 +49,8 @@ Result<QueryResult> RunQuery(int query_number, const TpchDb& db,
 Result<QueryResult> RunQuery(int query_number, const TpchDbView& db,
                              const QueryConfig& config);
 
-/// \brief Runs an arbitrary validated plan through the planner (mode +
-/// join-flavour choice, then lowering), with the same report/metric
+/// \brief Runs an arbitrary validated plan through the planner (lowering
+/// choice, then execution), with the same report/metric
 /// attribution as RunQuery. This is how the serving layer submits plans
 /// directly (serve::QueryRequest::plan) and how plan-only queries run.
 Result<QueryResult> RunPlan(const plan::Plan& plan, const TpchDb& db,

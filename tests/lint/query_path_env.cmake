@@ -9,8 +9,8 @@
 # and the serving, txn and storage layers by the option structs their
 # callers pass (ServerOptions, TxnOptions, UpdateFeedOptions,
 # BufferManager::Config). The process settings that remain (bench sizes,
-# logging, transition injection, trace and stats export) are read outside
-# these directories. Text after // is ignored, so comments may name the
+# transition injection, trace and stats export) are read outside these
+# directories. Text after // is ignored, so comments may name the
 # calls.
 
 if(NOT SRC_DIR)

@@ -3,9 +3,10 @@
 // hand-written drivers — must produce byte-identical results through the
 // materializing and fused lowerings, over resident and paged columns,
 // across probe modes. On top of the matrix: scalar-loop oracles for the
-// plan-only Q5-style queries, ad-hoc plans through RunPlan, and unit
-// tests for the planner's decision logic (config precedence, join
-// flavours forced through the DecideFor seam, explain output).
+// plan-only Q5-style queries, ad-hoc plans through RunPlan (one of them
+// not fusable), and unit tests for the planner's decisions (the default
+// and forced lowerings, RHO and the other joins through the
+// PlanDecisions::joins seam, explain output).
 //
 // Wired into the ASan/UBSan and TSan CI jobs (`ctest -L
 // planner_equivalence_test`) alongside pipeline_test.
@@ -15,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <tuple>
 #include <unordered_set>
@@ -131,8 +133,8 @@ TEST_P(PlannerEquivalenceTest, LoweringsAgree) {
   auto fused = RunQuery(query, view, cfg);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
 
-  // And the planner's own choice (no pipeline knob): whichever mode the
-  // cost model picks must agree with both forced modes.
+  // And the default lowering (no pipeline knob) must agree with both
+  // forced modes.
   cfg.pipeline.reset();
   auto chosen = RunQuery(query, view, cfg);
   ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
@@ -260,6 +262,73 @@ TEST(RunPlanTest, AdHocPlanRunsInBothModes) {
   }
 }
 
+// part JOIN (orders JOIN lineitem): the outer join probes another join,
+// so the fused lowering cannot drive it and the planner lowers it
+// materializing whatever the pipeline knob says.
+plan::Plan NonFusablePlan() {
+  plan::PlanBuilder b;
+  const int ord = b.Scan(
+      plan::TableId::kOrders,
+      {plan::Predicate::U32Range(plan::ColId::kOOrderdate, kDate19950101,
+                                 0xffffffffu)});
+  const int li = b.Scan(plan::TableId::kLineitem);
+  const int ord_li = b.Join(ord, li, plan::ColId::kOOrderkey,
+                            plan::ColId::kLOrderkey);
+  const int part = b.Scan(
+      plan::TableId::kPart,
+      {plan::Predicate::U32Range(plan::ColId::kPSize, 1, 10)});
+  const int j = b.Join(part, ord_li, plan::ColId::kPPartkey,
+                       plan::ColId::kLPartkey);
+  return b.Build(b.Aggregate(j, plan::AggSpec::CountStar()), "nonfusable")
+      .value();
+}
+
+TEST(RunPlanTest, NonFusablePlanLowersMaterializing) {
+  PlannerWorld& w = World();
+  const plan::Plan plan = NonFusablePlan();
+  ASSERT_FALSE(plan::FusedLowerable(plan));
+
+  std::unordered_set<uint32_t> orders;
+  for (size_t i = 0; i < w.db.orders.num_rows; ++i) {
+    if (w.db.orders.o_orderdate[i] >= kDate19950101) {
+      orders.insert(w.db.orders.o_orderkey[i]);
+    }
+  }
+  std::unordered_set<uint32_t> parts;
+  for (size_t i = 0; i < w.db.part.num_rows; ++i) {
+    if (w.db.part.p_size[i] >= 1 && w.db.part.p_size[i] <= 10) {
+      parts.insert(w.db.part.p_partkey[i]);
+    }
+  }
+  uint64_t expected = 0;
+  for (size_t i = 0; i < w.db.lineitem.num_rows; ++i) {
+    if (orders.count(w.db.lineitem.l_orderkey[i]) != 0 &&
+        parts.count(w.db.lineitem.l_partkey[i]) != 0) {
+      ++expected;
+    }
+  }
+  ASSERT_GT(expected, 0u) << "degenerate dataset";
+
+  for (std::optional<bool> pipeline :
+       {std::optional<bool>(), std::optional<bool>(true)}) {
+    QueryConfig cfg;
+    cfg.num_threads = 2;
+    cfg.pipeline = pipeline;
+    const plan::PlanDecisions d = plan::DecideFor(plan, ViewOf(w.db), cfg);
+    EXPECT_FALSE(d.fused) << "pipeline=" << pipeline.has_value();
+    EXPECT_NE(plan::Explain(plan, d).find("mode=materializing (not fusable)"),
+              std::string::npos);
+    auto fused = plan::ExecuteFused(plan, ViewOf(w.db), cfg, d);
+    ASSERT_FALSE(fused.ok());
+    EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument)
+        << fused.status().ToString();
+    auto r = RunPlan(plan, w.db, cfg);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r.value().count, expected)
+        << "pipeline=" << pipeline.has_value();
+  }
+}
+
 TEST(RunPlanTest, InvalidPlanIsRejected) {
   PlannerWorld& w = World();
   QueryConfig cfg;
@@ -287,7 +356,7 @@ TEST(PlannerDecisionTest, EveryCatalogPlanIsFusedLowerable) {
   }
 }
 
-TEST(PlannerDecisionTest, ExplicitPipelineKnobBeatsCostModel) {
+TEST(PlannerDecisionTest, ExplicitPipelineKnobForcesLowering) {
   PlannerWorld& w = World();
   const plan::CatalogEntry* q3 = plan::FindQuery(3);
   ASSERT_NE(q3, nullptr);
@@ -296,35 +365,41 @@ TEST(PlannerDecisionTest, ExplicitPipelineKnobBeatsCostModel) {
   cfg.pipeline = false;
   plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
   EXPECT_FALSE(d.fused);
-  EXPECT_FALSE(d.mode_cost_based);
+  EXPECT_TRUE(d.forced);
 
   cfg.pipeline = true;
   d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
   EXPECT_TRUE(d.fused);
-  EXPECT_FALSE(d.mode_cost_based);
+  EXPECT_TRUE(d.forced);
 }
 
-TEST(PlannerDecisionTest, CostModelPicksModeWhenUnconstrained) {
+TEST(PlannerDecisionTest, CatalogLowersFusedByDefaultAndRhoWhenForced) {
   PlannerWorld& w = World();
-  const plan::CatalogEntry* q3 = plan::FindQuery(3);
-  QueryConfig cfg;  // no pipeline knob
-  const plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
-  EXPECT_TRUE(d.mode_cost_based);
-  EXPECT_GT(d.fused_cost_ns, 0.0);
-  EXPECT_GT(d.materializing_cost_ns, 0.0);
-  // The chosen mode is the cheaper modeled lowering.
-  EXPECT_EQ(d.fused, d.fused_cost_ns < d.materializing_cost_ns);
-  // Estimates exist for every node, and join nodes carry a choice.
-  ASSERT_EQ(d.est_rows.size(), q3->plan.nodes().size());
-  for (double est : d.est_rows) EXPECT_GE(est, 0.0);
+  for (const plan::CatalogEntry& e : plan::Catalog()) {
+    QueryConfig cfg;  // no pipeline knob
+    plan::PlanDecisions d = plan::DecideFor(e.plan, ViewOf(w.db), cfg);
+    EXPECT_TRUE(d.fused) << e.name;
+    EXPECT_FALSE(d.forced) << e.name;
+
+    cfg.pipeline = false;
+    d = plan::DecideFor(e.plan, ViewOf(w.db), cfg);
+    EXPECT_FALSE(d.fused) << e.name;
+    ASSERT_EQ(d.joins.size(), e.plan.nodes().size()) << e.name;
+    for (size_t id = 0; id < d.joins.size(); ++id) {
+      const plan::PlanNode& n = e.plan.node(static_cast<int>(id));
+      if (n.kind != plan::PlanNode::Kind::kJoin) continue;
+      EXPECT_EQ(d.joins[id], join::JoinAlgorithm::kRho)
+          << e.name << " node " << id;
+    }
+  }
 }
 
-// The paper's Section 6 setup (bench_fig17_tpch) forces every join to
-// RHO through the public DecideFor + ExecuteMaterializing seam, with no
-// knob involved; the same seam forces PHT and CHT. Each forced flavour
-// must match the reference oracles with either kernel flavour. (The
-// fused lowering ignores JoinChoice::algo, so the equivalence matrix
-// above already covers the fused side.)
+// A materializing lowering runs RHO on every join: the paper's Section 6
+// setup (bench_fig17_tpch). Editing PlanDecisions::joins before
+// ExecuteMaterializing runs any of the six joins instead. Each must match
+// the reference oracles with either kernel flavour. (The fused lowering
+// ignores PlanDecisions::joins, so the equivalence matrix above already
+// covers the fused side.)
 TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
   PlannerWorld& w = World();
   const std::pair<int, uint64_t> queries[] = {{3, ReferenceQ3(w.db)},
@@ -352,7 +427,7 @@ TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
         cfg.radix_bits = 8;
         cfg.flavor = flavor;
         plan::PlanDecisions d = plan::DecideFor(e->plan, ViewOf(w.db), cfg);
-        for (plan::JoinChoice& j : d.joins) j.algo = algo;
+        for (join::JoinAlgorithm& j : d.joins) j = algo;
         auto r = plan::ExecuteMaterializing(e->plan, ViewOf(w.db), cfg, d);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
         EXPECT_EQ(r.value().count, expected)
@@ -372,18 +447,26 @@ TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
 
 // --- Explain ----------------------------------------------------------------
 
-TEST(ExplainTest, DumpCarriesDecisionsForEveryNode) {
+TEST(ExplainTest, HeaderLineOverPlanText) {
   PlannerWorld& w = World();
   const plan::CatalogEntry* q3 = plan::FindQuery(3);
   QueryConfig cfg;
-  const plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
-  const std::string text = plan::Explain(q3->plan, d);
+  plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
+  std::string text = plan::Explain(q3->plan, d);
+  EXPECT_EQ(text.rfind("mode=fused (default) probe=", 0), 0u) << text;
+  EXPECT_EQ(text.substr(text.find('\n') + 1), q3->plan.ToText()) << text;
   EXPECT_NE(text.find("plan Q3"), std::string::npos) << text;
-  EXPECT_NE(text.find("mode="), std::string::npos) << text;
-  EXPECT_NE(text.find("probe="), std::string::npos) << text;
   EXPECT_NE(text.find("Scan(customer)"), std::string::npos) << text;
-  EXPECT_NE(text.find("est_cost="), std::string::npos) << text;
-  EXPECT_NE(text.find("rows"), std::string::npos) << text;
+  EXPECT_EQ(text.find("RHO"), std::string::npos) << text;
+  EXPECT_EQ(text.find("est_cost="), std::string::npos) << text;
+  EXPECT_EQ(text.find("rows"), std::string::npos) << text;
+
+  // A materializing explain names the join each node runs.
+  cfg.pipeline = false;
+  d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
+  text = plan::Explain(q3->plan, d);
+  EXPECT_EQ(text.rfind("mode=materializing (forced) joins=RHO,RHO\n", 0), 0u)
+      << text;
 }
 
 }  // namespace
