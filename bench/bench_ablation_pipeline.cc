@@ -108,8 +108,7 @@ int main() {
     tpch::QueryConfig cfg;
     cfg.num_threads = threads;
     cfg.radix_bits = core::FullScale() ? 14 : 10;
-    const bool default_fused =
-        plan::DecideFor(entry.plan, tpch::ViewOf(db), cfg).fused;
+    const bool default_fused = plan::DecideFor(entry.plan, cfg).fused;
     cfg.pipeline = false;
     const ModeRun mat = Measure(entry, db, cfg);
     cfg.pipeline = true;

@@ -5,7 +5,9 @@
 // and inside a simulated enclave (with and without the SGXv2
 // optimizations), and prints the overhead a production deployment should
 // expect. This is the paper's Section 6 experiment dressed as an
-// application.
+// application: QueryConfig::pipeline = false runs the paper's
+// materializing operators with every join RHO, whose kernels the flavour
+// switches between the naive port and the unrolled-and-reordered one.
 //
 //   $ ./build/examples/secure_analytics [scale_factor]
 
@@ -57,6 +59,7 @@ int main(int argc, char** argv) {
     cfg.num_threads = std::min(4, CpuInfo::Host().logical_cores);
     cfg.enclave = enclave;
     cfg.radix_bits = 10;
+    cfg.pipeline = false;
 
     cfg.flavor = KernelFlavor::kUnrolledReordered;
     auto opt = tpch::RunQuery(query, db, cfg);

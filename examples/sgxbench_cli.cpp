@@ -284,8 +284,7 @@ int RunQueryCmd(const Args& args) {
     std::printf("\n");
   }
   const plan::Plan& query_plan = plan::FindQuery(number)->plan;
-  const plan::PlanDecisions decisions =
-      plan::DecideFor(query_plan, tpch::ViewOf(db), cfg);
+  const plan::PlanDecisions decisions = plan::DecideFor(query_plan, cfg);
   std::printf("%s", plan::Explain(query_plan, decisions).c_str());
   sgx::DestroyEnclave(enclave);
   return 0;

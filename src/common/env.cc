@@ -77,53 +77,9 @@ int64_t EnvInt(const char* name, int64_t fallback, int64_t lo, int64_t hi) {
   return parsed;
 }
 
-uint64_t EnvUint(const char* name, uint64_t fallback, uint64_t lo,
-                 uint64_t hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  errno = 0;
-  unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0' || errno == ERANGE || v[0] == '-') {
-    internal::WarnOnce(name, "expected a non-negative integer, got \"" +
-                                 std::string(v) + "\"");
-    return fallback;
-  }
-  if (parsed < lo || parsed > hi) {
-    internal::WarnOnce(name, "value " + std::string(v) + " outside [" +
-                                 std::to_string(lo) + ", " +
-                                 std::to_string(hi) + "]");
-    return fallback;
-  }
-  return parsed;
-}
-
-double EnvDouble(const char* name, double fallback, double lo, double hi) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  double parsed = std::strtod(v, &end);
-  if (end == v || *end != '\0') {
-    internal::WarnOnce(name,
-                       "expected a number, got \"" + std::string(v) + "\"");
-    return fallback;
-  }
-  if (parsed < lo || parsed > hi) {
-    internal::WarnOnce(name, "value " + std::string(v) + " outside [" +
-                                 std::to_string(lo) + ", " +
-                                 std::to_string(hi) + "]");
-    return fallback;
-  }
-  return parsed;
-}
-
 bool EnvBool(const char* name, bool fallback) {
-  return EnvBoolOpt(name).value_or(fallback);
-}
-
-std::optional<bool> EnvBoolOpt(const char* name) {
   const char* v = std::getenv(name);
-  if (v == nullptr) return std::nullopt;
+  if (v == nullptr) return fallback;
   const std::string s = Lower(v);
   if (s == "1" || s == "true" || s == "on" || s == "yes") return true;
   if (s == "0" || s == "false" || s == "off" || s == "no" || s.empty()) {
@@ -131,7 +87,7 @@ std::optional<bool> EnvBoolOpt(const char* name) {
   }
   internal::WarnOnce(name, "expected a boolean (0/1/true/false/on/off), "
                            "got \"" + std::string(v) + "\"");
-  return std::nullopt;
+  return fallback;
 }
 
 }  // namespace sgxb

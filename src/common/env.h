@@ -26,22 +26,10 @@ std::optional<std::string> EnvString(const char* name);
 int64_t EnvInt(const char* name, int64_t fallback,
                int64_t lo = INT64_MIN, int64_t hi = INT64_MAX);
 
-/// \brief Unsigned variant (sizes, cycle counts).
-uint64_t EnvUint(const char* name, uint64_t fallback,
-                 uint64_t lo = 0, uint64_t hi = UINT64_MAX);
-
-/// \brief Floating-point knob in [lo, hi].
-double EnvDouble(const char* name, double fallback, double lo, double hi);
-
 /// \brief Boolean knob: "1"/"true"/"on"/"yes" -> true, "0"/"false"/"off"/
 /// "no" -> false (case-insensitive). Unset -> fallback; anything else ->
 /// fallback with a one-time warning.
 bool EnvBool(const char* name, bool fallback);
-
-/// \brief Tri-state boolean knob: nullopt when unset OR malformed (with
-/// the one-time warning), so a garbage value falls through to the
-/// caller's own default instead of silently forcing one branch.
-std::optional<bool> EnvBoolOpt(const char* name);
 
 namespace internal {
 /// \brief Emits the malformed-knob warning at most once per variable name

@@ -36,15 +36,6 @@ inline void PrefetchRead(const void* addr) {
 #endif
 }
 
-/// \brief Hints that `addr` will be written soon (RFO prefetch).
-inline void PrefetchWrite(const void* addr) {
-#if SGXB_HAVE_BUILTIN_PREFETCH
-  __builtin_prefetch(const_cast<void*>(addr), /*rw=*/1, /*locality=*/3);
-#else
-  (void)addr;
-#endif
-}
-
 /// \brief Prefetches `lines` consecutive cache lines starting at `addr`.
 /// Structures larger than one line (B-tree key arrays, bucket pairs) need
 /// their first few lines resident before a binary search can start.

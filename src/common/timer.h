@@ -2,9 +2,9 @@
 //
 // The paper measures execution times with RDTSCP because it is the only
 // high-precision method available both inside and outside an enclave
-// (Section 3). We expose both a cycle timer (RDTSCP on x86) and a
-// steady_clock-based wall timer, plus the measured TSC frequency so cycles
-// can be converted to nanoseconds.
+// (Section 3). We expose the RDTSCP counter and a steady_clock-based wall
+// timer, plus the measured TSC frequency so cycles can be converted to
+// nanoseconds.
 
 #ifndef SGXB_COMMON_TIMER_H_
 #define SGXB_COMMON_TIMER_H_
@@ -57,18 +57,6 @@ class WallTimer {
 
  private:
   std::chrono::steady_clock::time_point start_;
-};
-
-/// \brief Cycle-count stopwatch built on RDTSCP.
-class CycleTimer {
- public:
-  CycleTimer() { Restart(); }
-  void Restart() { start_ = ReadTsc(); }
-  uint64_t ElapsedCycles() const { return ReadTsc() - start_; }
-  double ElapsedNanos() const { return CyclesToNanos(ElapsedCycles()); }
-
- private:
-  uint64_t start_;
 };
 
 /// \brief Busy-waits for approximately `cycles` TSC cycles. Used by the SGX

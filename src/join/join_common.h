@@ -144,13 +144,6 @@ struct JoinResult {
   double host_ns = 0;
   perf::PhaseBreakdown phases;
   int threads = 1;
-
-  /// Throughput metric as defined in the paper: (|R| + |S|) / time.
-  double RowsPerSecond(size_t build_rows, size_t probe_rows) const {
-    if (host_ns <= 0) return 0;
-    return (static_cast<double>(build_rows) + probe_rows) /
-           (host_ns * 1e-9);
-  }
 };
 
 /// \brief Runs `algo` (PhtJoin, RhoJoin, ...) on build x probe: the one

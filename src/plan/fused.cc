@@ -3,7 +3,8 @@
 // hand-written per-query fused drivers. Each join becomes a build
 // pipeline (drive the build subtree, insert into a pipeline-breaker
 // hash table) plus a probe stage fused into its parent's pipeline; the
-// root aggregate runs as a per-lane sink in the last pipeline.
+// root aggregate runs as a per-lane sink in the last pipeline. Probes
+// group-prefetch, and every id list a sink receives is ascending.
 
 #include <algorithm>
 #include <atomic>
@@ -79,8 +80,7 @@ Result<size_t> ScanMorsel(const ColumnView<T>& col, Range r, T lo, T hi,
 // Splits the ascending id list ids[0, m) at the joint run boundaries of
 // `cols` and calls fn(base, n, run_ids, count, runs...) for each run that
 // holds ids, so a gather kernel reads raw run pointers whatever the view
-// kind. Ids leaving a batched probe are out of order and must not come
-// here.
+// kind.
 template <typename Fn, typename... Ts>
 Status ForEachIdRun(const uint64_t* ids, size_t m, Fn&& fn,
                     const ColumnView<Ts>&... cols) {
@@ -106,22 +106,43 @@ void StageTuples(ColumnReader<uint32_t>& keys, const uint64_t* ids,
   }
 }
 
+// Probes the staged tuples with group prefetching (exec/probe_pipeline.h)
+// at the calibrated group size, the width a join resolves by default.
 template <typename OnMatch>
 void ProbeStaged(const BucketChainTable& table, const Tuple* staged,
-                 size_t n, exec::ProbeMode mode, int width,
-                 OnMatch& on_match) {
-  if (mode == exec::ProbeMode::kTupleAtATime) {
-    for (size_t i = 0; i < n; ++i) {
-      table.ProbeBucket(table.HashOf(staged[i].key), staged[i], on_match);
-    }
-    return;
-  }
+                 size_t n, OnMatch& on_match) {
+  static const int width = join::EffectiveProbeWidth(
+      join::JoinConfig{}, exec::ProbeMode::kGroupPrefetch);
   join::BucketChainCursor<OnMatch> cursors[exec::kMaxProbeWidth];
   for (int i = 0; i < width; ++i) {
     cursors[i].table = &table;
     cursors[i].on_match = &on_match;
   }
-  exec::BatchedProbe(mode, staged, n, width, cursors);
+  exec::GroupPrefetchProbe(staged, n, width, cursors);
+}
+
+// Restores ascending order to one flush of probe matches. The probe
+// stages ascending ids and group prefetching finishes each group before
+// it starts the next, so a match sits at most one group's matches from
+// its place. With unique build keys a group emits at most one match per
+// probe, so an id moves fewer than kMaxProbeWidth places and the
+// insertion pass is linear. A build key repeated many times makes a
+// group's matches long and interleaved; once the pass averages
+// kMaxProbeWidth moves per match it sorts the flush instead. Kept out of
+// line: inlined into the match callback, it slows the probe loop.
+[[gnu::noinline]] void SortProbeMatches(uint64_t* ids, size_t m) {
+  size_t moves = 0;
+  for (size_t i = 1; i < m; ++i) {
+    const uint64_t v = ids[i];
+    size_t j = i;
+    for (; j > 0 && ids[j - 1] > v; --j) ids[j] = ids[j - 1];
+    ids[j] = v;
+    moves += i - j;
+    if (moves > static_cast<size_t>(exec::kMaxProbeWidth) * m) {
+      std::sort(ids, ids + m);
+      return;
+    }
+  }
 }
 
 Result<double> RunPipe(const std::string& span_name, size_t total,
@@ -142,10 +163,10 @@ Result<double> RunPipe(const std::string& span_name, size_t total,
   return static_cast<double>(timer.ElapsedNanos());
 }
 
+// Probes group-prefetch, so their random reads are hidden.
 perf::AccessProfile PipeProfile(size_t seq_read_bytes, size_t rows,
                                 uint64_t probes, size_t probe_ws,
-                                bool batched, uint64_t sink_rows,
-                                size_t sink_ws) {
+                                uint64_t sink_rows, size_t sink_ws) {
   perf::AccessProfile p;
   p.seq_read_bytes = seq_read_bytes;
   p.loop_iterations = rows;
@@ -153,8 +174,8 @@ perf::AccessProfile PipeProfile(size_t seq_read_bytes, size_t rows,
   if (probes > 0) {
     p.rand_reads = probes;
     p.rand_read_working_set = probe_ws;
-    if (batched) p.hidden_random_reads = probes;
-    p.software_mlp = batched;
+    p.hidden_random_reads = probes;
+    p.software_mlp = true;
   }
   if (sink_rows > 0) {
     p.rand_writes = sink_rows;
@@ -172,25 +193,18 @@ struct alignas(kCacheLineSize) LaneSlot {
 
 // A fused stage's consumer: receives the surviving row ids of the
 // subtree's output table, morsel by morsel (possibly several flushes
-// per morsel when a probe overflows the lane's selection buffer).
-// `ascending` is true when a scan produced the ids; ids leaving a
-// batched probe come in completion order, and sinks read them through
-// ColumnReader.
-using MorselSink = std::function<Status(exec::PipelineLane&,
-                                        const uint64_t*, size_t,
-                                        bool ascending)>;
+// per morsel when a probe overflows the lane's selection buffer). Every
+// flush is ascending; a probe row repeats once per matching build row.
+using MorselSink =
+    std::function<Status(exec::PipelineLane&, const uint64_t*, size_t)>;
 
 class FusedExec {
  public:
   FusedExec(const Plan& plan, const tpch::TpchDbView& db,
-            const QueryConfig& config, const PlanDecisions& dec)
+            const QueryConfig& config)
       : plan_(plan),
         db_(db),
         config_(config),
-        dec_(dec),
-        mode_(dec.probe_mode),
-        width_(dec.probe_batch),
-        batched_(dec.probe_mode != exec::ProbeMode::kTupleAtATime),
         scan_u8_(scan::PickRowIdKernel(SimdLevel::kAvx512)),
         scan_u32_(scan::PickRowIdKernelU32(SimdLevel::kAvx512)),
         gather_(scan::PickGatherKernels(SimdLevel::kAvx512)),
@@ -241,10 +255,6 @@ class FusedExec {
   const Plan& plan_;
   const tpch::TpchDbView& db_;
   const QueryConfig& config_;
-  const PlanDecisions& dec_;
-  const exec::ProbeMode mode_;
-  const int width_;
-  const bool batched_;
   const scan::RowIdKernel scan_u8_;
   const scan::RowIdKernelU32 scan_u32_;
   const scan::GatherKernels& gather_;
@@ -345,14 +355,13 @@ Status FusedExec::DriveScan(int id, const std::string& name,
                       if (!k.ok()) return k.status();
                       sel_rows.fetch_add(k.value(),
                                          std::memory_order_relaxed);
-                      return sink(lane, lane.sel_out(), k.value(),
-                                  /*ascending=*/true);
+                      return sink(lane, lane.sel_out(), k.value());
                     });
   if (!ns.ok()) return ns.status();
   const size_t seq = PredBytes(n) == 0 ? total * sizeof(uint32_t)
                                        : PredBytes(n);
   rec_.Record(name, ns.value(),
-              PipeProfile(seq, total, 0, 0, batched_,
+              PipeProfile(seq, total, 0, 0,
                           sink_rows ? sink_rows->load() : 0, sink_ws),
               config_.num_threads);
   return Status::OK();
@@ -381,19 +390,18 @@ Status FusedExec::DriveJoin(int id, const std::string& name,
         const size_t cap = lane.capacity();
         size_t m = 0;
         Status sink_status = Status::OK();
+        auto flush = [&] {
+          SortProbeMatches(out, m);
+          Status s = sink(lane, out, m);
+          if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
+          m = 0;
+        };
         auto on_match = [&](const Tuple&, const Tuple& probe) {
           out[m++] = probe.payload;
-          if (m == cap) {
-            Status s = sink(lane, out, m, /*ascending=*/false);
-            if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
-            m = 0;
-          }
+          if (m == cap) flush();
         };
-        ProbeStaged(tbl.table, lane.stage(), k, mode_, width_, on_match);
-        if (m > 0) {
-          Status s = sink(lane, out, m, /*ascending=*/false);
-          if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
-        }
+        ProbeStaged(tbl.table, lane.stage(), k, on_match);
+        if (m > 0) flush();
         sel_rows.fetch_add(k, std::memory_order_relaxed);
         SGXB_RETURN_NOT_OK(sink_status);
         return pkey_r.status();
@@ -402,7 +410,7 @@ Status FusedExec::DriveJoin(int id, const std::string& name,
   rec_.Record(name, ns.value(),
               PipeProfile(PredBytes(probe_scan) +
                               sel_rows.load() * sizeof(uint32_t),
-                          total, sel_rows.load(), tbl.buf.size(), batched_,
+                          total, sel_rows.load(), tbl.buf.size(),
                           sink_rows ? sink_rows->load() : 0, sink_ws),
               config_.num_threads);
   return Status::OK();
@@ -465,8 +473,8 @@ Status FusedExec::PrepareTables(int id, const std::string& suffix) {
       const ColumnView<uint32_t> bkey = U32Column(db_, n.build_key);
       std::atomic<uint64_t> inserted{0};
       MorselSink insert_sink =
-          [&](exec::PipelineLane&, const uint64_t* ids, size_t cnt,
-              bool) -> Status {
+          [&](exec::PipelineLane&, const uint64_t* ids,
+              size_t cnt) -> Status {
         ColumnReader<uint32_t> key(bkey);
         for (size_t i = 0; i < cnt; ++i) {
           tbl.table.Insert(
@@ -506,7 +514,7 @@ Result<QueryResult> FusedExec::Run() {
     case AggSpec::Kind::kCountStar: {
       std::vector<LaneSlot<uint64_t>> counts(lanes);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t*,
-                            size_t cnt, bool) -> Status {
+                            size_t cnt) -> Status {
         counts[static_cast<size_t>(lane.lane_id())].value += cnt;
         return Status::OK();
       };
@@ -524,7 +532,7 @@ Result<QueryResult> FusedExec::Run() {
       const ColumnView<uint32_t> fk_col = U32Column(db_, agg.fk);
       const ColumnView<uint8_t> val_col = U8Column(db_, agg.values);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t* ids,
-                            size_t cnt, bool) -> Status {
+                            size_t cnt) -> Status {
         ColumnReader<uint32_t> fk(fk_col);
         ColumnReader<uint8_t> vals(val_col);
         uint64_t* c =
@@ -582,44 +590,22 @@ Result<QueryResult> FusedExec::Run() {
       const ColumnView<uint8_t> g1_col = U8Column(db_, agg.g1);
       const ColumnView<uint8_t> g2_col = U8Column(db_, agg.g2);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t* ids,
-                            size_t cnt, bool ascending) -> Status {
+                            size_t cnt) -> Status {
         GroupAgg* h = lane_hists[static_cast<size_t>(lane.lane_id())].value.h;
-        if (ascending) {
-          bool fits = true;
-          SGXB_RETURN_NOT_OK(ForEachIdRun(
-              ids, cnt,
-              [&](size_t base, size_t n, const uint64_t* in, size_t c,
-                  const uint32_t* val, const uint8_t* g1,
-                  const uint8_t* g2) {
-                if (fits && gather_.group_sum2(val, g1, g2, base, n, in, c,
-                                               num_g1, num_g2, h,
-                                               kMaxGroups) != c) {
-                  fits = false;
-                }
-              },
-              val_col, g1_col, g2_col));
-          if (!fits) out_of_range.store(true, std::memory_order_relaxed);
-          return Status::OK();
-        }
-        ColumnReader<uint32_t> val(val_col);
-        ColumnReader<uint8_t> g1(g1_col);
-        ColumnReader<uint8_t> g2(g2_col);
-        for (size_t i = 0; i < cnt; ++i) {
-          const uint64_t id = ids[i];
-          const uint32_t a = g1[id];
-          const uint32_t b = g2[id];
-          if (a >= num_g1 || b >= num_g2) {
-            out_of_range.store(true, std::memory_order_relaxed);
-            break;
-          }
-          GroupAgg& g =
-              h[(i % scan::kGroupCopies) * kMaxGroups + a * num_g2 + b];
-          ++g.count;
-          g.sum += val[id];
-        }
-        SGXB_RETURN_NOT_OK(val.status());
-        SGXB_RETURN_NOT_OK(g1.status());
-        return g2.status();
+        bool fits = true;
+        SGXB_RETURN_NOT_OK(ForEachIdRun(
+            ids, cnt,
+            [&](size_t base, size_t n, const uint64_t* in, size_t c,
+                const uint32_t* val, const uint8_t* g1, const uint8_t* g2) {
+              if (fits && gather_.group_sum2(val, g1, g2, base, n, in, c,
+                                             num_g1, num_g2, h,
+                                             kMaxGroups) != c) {
+                fits = false;
+              }
+            },
+            val_col, g1_col, g2_col));
+        if (!fits) out_of_range.store(true, std::memory_order_relaxed);
+        return Status::OK();
       };
       SGXB_RETURN_NOT_OK(
           DriveSubtree(root.input, role_for("group"), "", sink, nullptr,
@@ -649,28 +635,16 @@ Result<QueryResult> FusedExec::Run() {
       const ColumnView<uint32_t> a_col = U32Column(db_, agg.value);
       const ColumnView<uint32_t> b_col = U32Column(db_, agg.value2);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t* ids,
-                            size_t cnt, bool ascending) -> Status {
+                            size_t cnt) -> Status {
         Sums& s = lane_sums[static_cast<size_t>(lane.lane_id())].value;
         s.rows += cnt;
-        if (ascending) {
-          return ForEachIdRun(
-              ids, cnt,
-              [&](size_t base, size_t n, const uint64_t* in, size_t c,
-                  const uint32_t* a, const uint32_t* b) {
-                s.sum += gather_.sum_product(a, b, base, n, in, c);
-              },
-              a_col, b_col);
-        }
-        ColumnReader<uint32_t> a(a_col);
-        ColumnReader<uint32_t> b(b_col);
-        uint64_t local = 0;
-        for (size_t i = 0; i < cnt; ++i) {
-          const uint64_t id = ids[i];
-          local += static_cast<uint64_t>(a[id]) * b[id];
-        }
-        s.sum += local;
-        SGXB_RETURN_NOT_OK(a.status());
-        return b.status();
+        return ForEachIdRun(
+            ids, cnt,
+            [&](size_t base, size_t n, const uint64_t* in, size_t c,
+                const uint32_t* a, const uint32_t* b) {
+              s.sum += gather_.sum_product(a, b, base, n, in, c);
+            },
+            a_col, b_col);
       };
       SGXB_RETURN_NOT_OK(
           DriveSubtree(root.input, role_for("sum"), "", sink, nullptr, 0));
@@ -693,14 +667,13 @@ Result<QueryResult> FusedExec::Run() {
 
 Result<QueryResult> ExecuteFused(const Plan& plan,
                                  const tpch::TpchDbView& db,
-                                 const QueryConfig& config,
-                                 const PlanDecisions& decisions) {
+                                 const QueryConfig& config) {
   if (!FusedLowerable(plan)) {
     return Status::InvalidArgument(
         "plan has a join probing a non-scan; fused lowering requires "
         "scan probe children");
   }
-  FusedExec exec(plan, db, config, decisions);
+  FusedExec exec(plan, db, config);
   return exec.Run();
 }
 

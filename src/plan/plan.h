@@ -171,8 +171,11 @@ struct PlanNode {
   std::vector<Predicate> predicates;
 
   // kJoin: hash equi-join build.key == probe.key. The node's output rows
-  // are the matching probe-side rows (the semi-join shape every repo
-  // query uses: each probe row matches at most one unique build key).
+  // are probe-side rows, one per matching build row: a probe row that
+  // matches k build rows appears k times, one that matches none is
+  // dropped. Build keys need not be unique (Plan::FromNodes does not
+  // check); every catalog plan builds on a primary key, so there each
+  // probe row appears at most once.
   int build = -1;
   int probe = -1;
   ColId build_key = ColId::kCCustkey;

@@ -31,8 +31,7 @@ bool FusedLowerable(const Plan& plan) {
   return true;
 }
 
-PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& /*db*/,
-                        const QueryConfig& config) {
+PlanDecisions DecideFor(const Plan& plan, const QueryConfig& config) {
   PlanDecisions d;
   // A plan the fused lowering can drive runs fused unless the config
   // asks for the paper's operator-at-a-time path; every join of a
@@ -40,14 +39,6 @@ PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& /*db*/,
   d.forced = config.pipeline.has_value();
   d.fused = config.pipeline.value_or(true) && FusedLowerable(plan);
   d.joins.assign(plan.nodes().size(), join::JoinAlgorithm::kRho);
-
-  // Fused probes resolve their scheduling as a PHT join would.
-  join::JoinConfig jc;
-  jc.flavor = config.flavor;
-  jc.probe_mode = config.probe_mode;
-  jc.probe_batch = config.probe_batch;
-  d.probe_mode = join::EffectiveProbeMode(jc);
-  d.probe_batch = join::EffectiveProbeWidth(jc, d.probe_mode);
   return d;
 }
 
@@ -58,10 +49,7 @@ std::string Explain(const Plan& plan, const PlanDecisions& d) {
                                          : "default";
   os << "mode=" << (d.fused ? "fused" : "materializing") << " (" << why
      << ")";
-  if (d.fused) {
-    os << " probe=" << exec::ProbeModeToString(d.probe_mode) << " x"
-       << d.probe_batch;
-  } else {
+  if (!d.fused) {
     const char* sep = " joins=";
     for (size_t id = 0; id < plan.nodes().size(); ++id) {
       if (plan.node(static_cast<int>(id)).kind != PlanNode::Kind::kJoin) {
@@ -395,8 +383,8 @@ Result<QueryResult> ExecutePlan(const Plan& plan,
   if (!plan.valid()) {
     return Status::InvalidArgument("cannot execute an invalid plan");
   }
-  const PlanDecisions decisions = DecideFor(plan, db, config);
-  return decisions.fused ? ExecuteFused(plan, db, config, decisions)
+  const PlanDecisions decisions = DecideFor(plan, config);
+  return decisions.fused ? ExecuteFused(plan, db, config)
                          : ExecuteMaterializing(plan, db, config, decisions);
 }
 

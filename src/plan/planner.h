@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "exec/probe_pipeline.h"
 #include "join/join_common.h"
 #include "plan/plan.h"
 #include "tpch/queries.h"
@@ -29,12 +28,6 @@ struct PlanDecisions {
   bool fused = false;
   /// True when QueryConfig::pipeline was set.
   bool forced = false;
-  /// Probe scheduling of the fused lowering's hash probes, resolved as a
-  /// PHT join resolves its own. A materializing join resolves its
-  /// scheduling from QueryConfig itself (RHO probes tuple-at-a-time
-  /// unless QueryConfig::probe_mode is set).
-  exec::ProbeMode probe_mode = exec::ProbeMode::kGroupPrefetch;
-  int probe_batch = 0;
   /// Join algorithm per plan node id (meaningful at kJoin nodes), used by
   /// the materializing lowering: RHO everywhere. Callers may edit it
   /// before ExecuteMaterializing to run another of the six joins.
@@ -42,14 +35,12 @@ struct PlanDecisions {
 };
 
 /// \brief Computes the lowering decisions for `plan` under `config`.
-/// Deterministic and cheap; does not execute anything, and does not
-/// consult `db`.
-PlanDecisions DecideFor(const Plan& plan, const tpch::TpchDbView& db,
-                        const tpch::QueryConfig& config);
+/// Deterministic and cheap; does not execute anything.
+PlanDecisions DecideFor(const Plan& plan, const tpch::QueryConfig& config);
 
 /// \brief One header line with the decisions (the lowering and why, then
-/// the fused probe mode or the materializing joins' algorithms) over
-/// Plan::ToText() (`sgxbench_cli query` prints it after each result).
+/// the materializing joins' algorithms) over Plan::ToText()
+/// (`sgxbench_cli query` prints it after each result).
 std::string Explain(const Plan& plan, const PlanDecisions& decisions);
 
 /// \brief Executes `plan` with the given decisions through the
@@ -60,13 +51,13 @@ Result<tpch::QueryResult> ExecuteMaterializing(
     const Plan& plan, const tpch::TpchDbView& db,
     const tpch::QueryConfig& config, const PlanDecisions& decisions);
 
-/// \brief Executes `plan` as a chain of fused morsel pipelines.
-/// Requires every join's probe child to be a scan (DecideFor never
-/// chooses fused otherwise; catalog plans all qualify).
+/// \brief Executes `plan` as a chain of fused morsel pipelines, every
+/// join probing with group prefetching. Requires every join's probe
+/// child to be a scan (DecideFor never chooses fused otherwise; catalog
+/// plans all qualify).
 Result<tpch::QueryResult> ExecuteFused(const Plan& plan,
                                        const tpch::TpchDbView& db,
-                                       const tpch::QueryConfig& config,
-                                       const PlanDecisions& decisions);
+                                       const tpch::QueryConfig& config);
 
 /// \brief True when ExecuteFused can lower this plan (all probe
 /// children are scans).

@@ -847,12 +847,4 @@ const GatherKernels& PickGatherKernels(SimdLevel level) {
   return kScalarGather;
 }
 
-uint64_t ScanRowIdRange(const uint8_t* data, size_t base, size_t len,
-                        uint8_t lo, uint8_t hi, uint64_t* out_ids,
-                        SimdLevel level) {
-  // The kernels add `base` to every produced index, so scanning from
-  // data + base yields absolute row ids directly.
-  return PickRowIdKernel(level)(data + base, len, lo, hi, base, out_ids);
-}
-
 }  // namespace sgxb::scan

@@ -87,30 +87,17 @@ RowIdKernelU32 PickRowIdKernelU32(SimdLevel level);
 /// \brief Widest level that both the build and the host support.
 SimdLevel BestSupportedSimdLevel();
 
-// --- Morsel-range entry point ------------------------------------------------
-
-/// \brief Selection over one morsel: scans `col[base, base + len)` of a
-/// column starting at `data` and writes the ABSOLUTE row ids of matching
-/// values (lo <= v <= hi) to `out_ids`, which must have room for `len`
-/// entries. Returns the number of ids written. This is the fused
-/// pipelines' scan entry point (exec/pipeline.h): the same SIMD kernels
-/// as the global row-id scan, applied to an arbitrary worker morsel —
-/// `len` need not be a multiple of the SIMD width and `base` need not be
-/// aligned (the kernels handle unaligned heads and partial tails).
-uint64_t ScanRowIdRange(const uint8_t* data, size_t base, size_t len,
-                        uint8_t lo, uint8_t hi, uint64_t* out_ids,
-                        SimdLevel level);
-
 // --- Gather kernels over one run ---------------------------------------------
 //
 // The stages after a fused pipeline's first filter evaluate predicates
 // and aggregates on a selection vector of row ids. Each kernel works on
 // one run as storage::ForEachRun hands it out: `run` holds rows
 // [base, base + n), and every id of `ids[0, m)` lies in that range in
-// ascending order. A kernel reads run[id - base] and never past
-// run + n. A 32-bit gather of a u8 value reads 3 bytes beyond it, so the
-// u8 kernels gather only ids at least 4 bytes before the run's end and
-// finish the last few scalar (ascending distinct ids leave at most 3).
+// ascending order; an id after a join repeats once per matching build
+// row. A kernel reads run[id - base] and never past run + n. A 32-bit
+// gather of a u8 value reads 3 bytes beyond it, so the u8 kernels gather
+// only ids at least 4 bytes before the run's end and finish the last few
+// scalar (at most 3 distinct ids).
 //
 // Refinements write the surviving ids in order to `out`, which must have
 // room for m entries (entries past the returned count may be

@@ -7,7 +7,6 @@
 
 #include "common/parallel.h"
 #include "common/timer.h"
-#include "exec/probe_pipeline.h"
 #include "join/materializer.h"
 #include "obs/metrics.h"
 #include "scan/column_scan.h"
@@ -31,8 +30,6 @@ join::JoinConfig ToJoinConfig(const QueryConfig& config, bool materialize) {
   jc.materialize = materialize;
   jc.radix_bits = config.radix_bits;
   jc.radix_passes = 2;
-  jc.probe_mode = config.probe_mode;
-  jc.probe_batch = config.probe_batch;
   jc.resource = config.resource;
   jc.arena_pool = config.arena_pool;
   return jc;
@@ -447,42 +444,12 @@ constexpr size_t PartialStride(size_t groups, size_t elem_bytes) {
   return (groups + per_line - 1) / per_line * per_line;
 }
 
-// Per-thread group-of objects (same pattern as the refinement preds:
-// readers are thread-local, Done() surfaces pin failures).
-struct U8GroupOf {
-  storage::ColumnReader<uint8_t> col;
-  int operator()(size_t i) { return int{col[i]}; }
-  Status Done() { return col.status(); }
-};
+}  // namespace
 
-struct U8AtIdsGroupOf {
-  storage::ColumnReader<uint8_t> col;
-  const uint64_t* ids;
-  int operator()(size_t i) { return int{col[ids[i]]}; }
-  Status Done() { return col.status(); }
-};
-
-struct U8ViaFkGroupOf {
-  storage::ColumnReader<uint8_t> values;
-  storage::ColumnReader<uint32_t> fk;
-  const uint64_t* ids;
-  int operator()(size_t i) { return int{values[fk[ids[i]]]}; }
-  Status Done() {
-    if (!values.status().ok()) return values.status();
-    return fk.status();
-  }
-};
-
-// Shared implementation: group id of row `id` comes from the per-thread
-// object `make_group_of` builds.
-template <typename GroupOfFactory>
-Result<std::vector<uint64_t>> GroupCountImpl(size_t n,
-                                             GroupOfFactory make_group_of,
-                                             int num_groups,
-                                             size_t gather_bytes,
-                                             const QueryConfig& config,
-                                             OpRecorder* rec,
-                                             const std::string& name) {
+Result<std::vector<uint64_t>> GroupCountU8ViaFk(
+    storage::ColumnView<uint8_t> values, storage::ColumnView<uint32_t> fk,
+    const RowIdList& rows, int num_groups, const QueryConfig& config,
+    OpRecorder* rec, const std::string& name) {
   if (num_groups <= 0 || num_groups > 4096) {
     return Status::InvalidArgument("num_groups must be in [1, 4096]");
   }
@@ -500,20 +467,25 @@ Result<std::vector<uint64_t>> GroupCountImpl(size_t n,
   std::atomic<bool> out_of_range{false};
   std::vector<Status> thread_status(threads);
 
+  const size_t n = rows.count();
+  const uint64_t* ids = rows.ids();
   WallTimer timer;
   Status run_status = ParallelRun(threads, [&](int tid) {
     Range r = SplitRange(n, threads, tid);
-    auto group_of = make_group_of();
+    // Readers are thread-local; a failed pin surfaces through status().
+    storage::ColumnReader<uint8_t> value_r(values);
+    storage::ColumnReader<uint32_t> fk_r(fk);
     uint64_t* local = partial_rows + static_cast<size_t>(tid) * stride;
     for (size_t i = r.begin; i < r.end; ++i) {
-      int g = group_of(i);
-      if (g < 0 || g >= num_groups) {
+      const int g = value_r[fk_r[ids[i]]];
+      if (g >= num_groups) {
         out_of_range.store(true, std::memory_order_relaxed);
         break;
       }
       ++local[g];
     }
-    thread_status[tid] = group_of.Done();
+    thread_status[tid] =
+        value_r.status().ok() ? fk_r.status() : value_r.status();
   });
   SGXB_RETURN_NOT_OK(run_status);
   // Pin failures first: a failed read yields 0, which is a valid group,
@@ -532,7 +504,7 @@ Result<std::vector<uint64_t>> GroupCountImpl(size_t n,
     perf::AccessProfile p;
     p.seq_read_bytes = n * sizeof(uint64_t);
     p.rand_reads = n;
-    p.rand_read_working_set = gather_bytes;
+    p.rand_read_working_set = values.size_bytes() + fk.size_bytes();
     p.rand_writes = n;
     p.rand_write_working_set = num_groups * sizeof(uint64_t);
     p.loop_iterations = n;
@@ -541,44 +513,6 @@ Result<std::vector<uint64_t>> GroupCountImpl(size_t n,
                 threads);
   }
   return counts;
-}
-
-}  // namespace
-
-Result<std::vector<uint64_t>> GroupCountU8(storage::ColumnView<uint8_t> col,
-                                           const RowIdList* rows,
-                                           int num_groups,
-                                           const QueryConfig& config,
-                                           OpRecorder* rec,
-                                           const std::string& name) {
-  if (rows == nullptr) {
-    return GroupCountImpl(
-        col.num_values(),
-        [col] { return U8GroupOf{storage::ColumnReader<uint8_t>(col)}; },
-        num_groups, col.size_bytes(), config, rec, name);
-  }
-  const uint64_t* ids = rows->ids();
-  return GroupCountImpl(
-      rows->count(),
-      [col, ids] {
-        return U8AtIdsGroupOf{storage::ColumnReader<uint8_t>(col), ids};
-      },
-      num_groups, col.size_bytes(), config, rec, name);
-}
-
-Result<std::vector<uint64_t>> GroupCountU8ViaFk(
-    storage::ColumnView<uint8_t> values, storage::ColumnView<uint32_t> fk,
-    const RowIdList& rows, int num_groups, const QueryConfig& config,
-    OpRecorder* rec, const std::string& name) {
-  const uint64_t* ids = rows.ids();
-  return GroupCountImpl(
-      rows.count(),
-      [values, fk, ids] {
-        return U8ViaFkGroupOf{storage::ColumnReader<uint8_t>(values),
-                              storage::ColumnReader<uint32_t>(fk), ids};
-      },
-      num_groups, values.size_bytes() + fk.size_bytes(), config, rec,
-      name);
 }
 
 Result<std::vector<GroupAgg>> GroupSumU32By2U8(

@@ -34,11 +34,6 @@ struct QueryConfig {
   ExecutionSetting setting = ExecutionSetting::kPlainCpu;
   sgx::Enclave* enclave = nullptr;
   int radix_bits = 12;
-  /// Probe-loop scheduling for the hash-probe operators, forwarded to the
-  /// join layer (exec/probe_pipeline.h); unset = the join's own default.
-  std::optional<exec::ProbeMode> probe_mode;
-  /// Group size / ring width; 0 = calibrated default.
-  int probe_batch = 0;
   /// Memory resource every operator output (row-id lists, gathered
   /// relations, join intermediates) comes from; null = derived from
   /// `setting`/`enclave` (mem::ResourceFor).
@@ -194,18 +189,10 @@ Result<uint64_t> CountingJoin(
 // restore the real queries' GROUP BY finals (e.g. Q12 groups line counts
 // into high/low order priority).
 
-/// \brief GROUP BY count over `col[id]` for each id in `rows` (all rows
-/// if null). Returns `num_groups` counts; codes >= num_groups are
-/// rejected as kInternal.
-Result<std::vector<uint64_t>> GroupCountU8(storage::ColumnView<uint8_t> col,
-                                           const RowIdList* rows,
-                                           int num_groups,
-                                           const QueryConfig& config,
-                                           OpRecorder* rec,
-                                           const std::string& name);
-
 /// \brief GROUP BY count via a foreign key: for each id in `rows`, the
 /// group is `values[fk[id]]` (e.g. order priority of a lineitem's order).
+/// Returns `num_groups` counts; `num_groups` outside [1, 4096] is
+/// kInvalidArgument, and a code >= num_groups is kInternal.
 Result<std::vector<uint64_t>> GroupCountU8ViaFk(
     storage::ColumnView<uint8_t> values, storage::ColumnView<uint32_t> fk,
     const RowIdList& rows, int num_groups, const QueryConfig& config,

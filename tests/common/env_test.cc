@@ -66,24 +66,6 @@ TEST(EnvTest, IntMalformedFallsBackWithWarning) {
   EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
 }
 
-TEST(EnvTest, UintParsesAndRejectsNegative) {
-  EnvGuard g("SGXB_TEST_UINT_OK", "4096");
-  EXPECT_EQ(EnvUint("SGXB_TEST_UINT_OK", 0), 4096u);
-  EnvGuard bad("SGXB_TEST_UINT_NEG", "-5");
-  const uint64_t warnings = internal::EnvWarningCount();
-  EXPECT_EQ(EnvUint("SGXB_TEST_UINT_NEG", 9), 9u);
-  EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
-}
-
-TEST(EnvTest, DoubleParsesAndValidatesRange) {
-  EnvGuard g("SGXB_TEST_DBL_OK", "2.5");
-  EXPECT_DOUBLE_EQ(EnvDouble("SGXB_TEST_DBL_OK", 1.0, 0.0, 10.0), 2.5);
-  EnvGuard bad("SGXB_TEST_DBL_RANGE", "-2.5");
-  const uint64_t warnings = internal::EnvWarningCount();
-  EXPECT_DOUBLE_EQ(EnvDouble("SGXB_TEST_DBL_RANGE", 1.0, 0.0, 10.0), 1.0);
-  EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
-}
-
 TEST(EnvTest, BoolAcceptsTheDocumentedTokens) {
   const char* kTrue[] = {"1", "true", "on", "yes", "TRUE", "On", "YES"};
   const char* kFalse[] = {"0", "false", "off", "no", "FALSE", "Off", "NO"};
@@ -105,31 +87,6 @@ TEST(EnvTest, BoolUnsetAndMalformed) {
   const uint64_t warnings = internal::EnvWarningCount();
   EXPECT_TRUE(EnvBool("SGXB_TEST_BOOL_BAD", true));
   EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
-}
-
-TEST(EnvTest, BoolOptDistinguishesUnsetSetAndMalformed) {
-  ::unsetenv("SGXB_TEST_BOOLOPT_UNSET");
-  EXPECT_FALSE(EnvBoolOpt("SGXB_TEST_BOOLOPT_UNSET").has_value());
-  {
-    EnvGuard g("SGXB_TEST_BOOLOPT_ON", "on");
-    const std::optional<bool> v = EnvBoolOpt("SGXB_TEST_BOOLOPT_ON");
-    ASSERT_TRUE(v.has_value());
-    EXPECT_TRUE(*v);
-  }
-  {
-    EnvGuard g("SGXB_TEST_BOOLOPT_OFF", "0");
-    const std::optional<bool> v = EnvBoolOpt("SGXB_TEST_BOOLOPT_OFF");
-    ASSERT_TRUE(v.has_value());
-    EXPECT_FALSE(*v);
-  }
-  {
-    // A malformed value is *unset* (plus a warning), not a forced
-    // fallback — so the caller's own default applies.
-    EnvGuard g("SGXB_TEST_BOOLOPT_BAD", "sideways");
-    const uint64_t warnings = internal::EnvWarningCount();
-    EXPECT_FALSE(EnvBoolOpt("SGXB_TEST_BOOLOPT_BAD").has_value());
-    EXPECT_EQ(internal::EnvWarningCount(), warnings + 1);
-  }
 }
 
 }  // namespace

@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <numeric>
-
 #include "plan/catalog.h"
 #include "tpch/operators.h"
 #include "tpch/queries.h"
@@ -19,50 +17,19 @@ const TpchDb& Db() {
   return db;
 }
 
-TEST(GroupCountTest, AllRowsMatchManualCount) {
-  QueryConfig cfg;
-  cfg.num_threads = 3;
-  auto counts = GroupCountU8(Db().customer.c_mktsegment, nullptr,
-                             kNumSegments, cfg, nullptr, "g");
-  ASSERT_TRUE(counts.ok());
-  std::vector<uint64_t> expected(kNumSegments, 0);
-  for (size_t i = 0; i < Db().customer.num_rows; ++i) {
-    ++expected[Db().customer.c_mktsegment[i]];
-  }
-  EXPECT_EQ(counts.value(), expected);
-  EXPECT_EQ(std::accumulate(counts.value().begin(), counts.value().end(),
-                            uint64_t{0}),
-            Db().customer.num_rows);
-}
-
-TEST(GroupCountTest, RestrictedToRowIds) {
-  QueryConfig cfg;
-  OpRecorder rec;
-  auto rows = FilterU32Range(Db().orders.o_orderdate, 0,
-                             kDate19940101 - 1, cfg, nullptr, "f");
-  ASSERT_TRUE(rows.ok());
-  auto counts =
-      GroupCountU8(Db().orders.o_orderpriority, &rows.value(),
-                   kNumOrderPriorities, cfg, &rec, "g");
-  ASSERT_TRUE(counts.ok());
-  std::vector<uint64_t> expected(kNumOrderPriorities, 0);
-  for (size_t i = 0; i < Db().orders.num_rows; ++i) {
-    if (Db().orders.o_orderdate[i] < kDate19940101) {
-      ++expected[Db().orders.o_orderpriority[i]];
-    }
-  }
-  EXPECT_EQ(counts.value(), expected);
-  EXPECT_EQ(rec.Take().phases.size(), 1u);
-}
-
 TEST(GroupCountTest, RejectsBadGroupCounts) {
   QueryConfig cfg;
-  EXPECT_FALSE(GroupCountU8(Db().customer.c_mktsegment, nullptr, 0, cfg,
-                            nullptr, "g")
+  auto all_lines = FilterU32Range(Db().lineitem.l_quantity, 1, 50, cfg,
+                                  nullptr, "all");
+  ASSERT_TRUE(all_lines.ok());
+  EXPECT_FALSE(GroupCountU8ViaFk(Db().orders.o_orderpriority,
+                                 Db().lineitem.l_orderkey, all_lines.value(),
+                                 0, cfg, nullptr, "g")
                    .ok());
   // num_groups smaller than actual code range -> kInternal.
-  auto r = GroupCountU8(Db().customer.c_mktsegment, nullptr, 2, cfg,
-                        nullptr, "g");
+  auto r = GroupCountU8ViaFk(Db().orders.o_orderpriority,
+                             Db().lineitem.l_orderkey, all_lines.value(), 2,
+                             cfg, nullptr, "g");
   EXPECT_FALSE(r.ok());
   EXPECT_EQ(r.status().code(), StatusCode::kInternal);
 }

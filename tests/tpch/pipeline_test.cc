@@ -1,7 +1,7 @@
 // Result-equivalence matrix for the fused morsel-driven pipelines
 // (plan/fused.cc): for every query, the fused plan must produce a
 // QueryResult byte-identical (count + group_counts) to the materializing
-// plan across thread counts, execution settings, and probe modes. Also
+// plan across thread counts and execution settings. Also
 // hosts the vectorized-stage tests over paged and versioned views, the
 // traced-run span-name test, and the unit tests for the allocation-
 // overflow guards that the fused work leaned on (RowIdList::Allocate,
@@ -27,7 +27,6 @@
 
 #include "common/aligned_buffer.h"
 #include "common/random.h"
-#include "exec/probe_pipeline.h"
 #include "join/radix_common.h"
 #include "obs/trace.h"
 #include "sgx/enclave.h"
@@ -50,13 +49,13 @@ const TpchDb& Db() {
   return db;
 }
 
-using MatrixParam = std::tuple<int, ExecutionSetting, int, exec::ProbeMode>;
+using MatrixParam = std::tuple<int, ExecutionSetting, int>;
 
 class PipelineEquivalenceTest : public ::testing::TestWithParam<MatrixParam> {
 };
 
 TEST_P(PipelineEquivalenceTest, FusedMatchesMaterializing) {
-  auto [query, setting, threads, probe_mode] = GetParam();
+  auto [query, setting, threads] = GetParam();
 
   sgx::Enclave* enclave = nullptr;
   if (setting != ExecutionSetting::kPlainCpu) {
@@ -70,7 +69,6 @@ TEST_P(PipelineEquivalenceTest, FusedMatchesMaterializing) {
   cfg.setting = setting;
   cfg.enclave = enclave;
   cfg.radix_bits = 8;
-  cfg.probe_mode = probe_mode;
 
   cfg.pipeline = false;
   auto materializing = RunQuery(query, Db(), cfg);
@@ -96,10 +94,7 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(
                            ExecutionSetting::kPlainCpu,
                            ExecutionSetting::kSgxDataInEnclave),
-                       ::testing::Values(1, 4),
-                       ::testing::Values(exec::ProbeMode::kTupleAtATime,
-                                         exec::ProbeMode::kGroupPrefetch,
-                                         exec::ProbeMode::kAmac)),
+                       ::testing::Values(1, 4)),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
       int q = std::get<0>(info.param);
       std::string name =
@@ -108,17 +103,8 @@ INSTANTIATE_TEST_SUITE_P(
                   ? "_Plain"
                   : "_Sgx";
       name += "_T" + std::to_string(std::get<2>(info.param));
-      switch (std::get<3>(info.param)) {
-        case exec::ProbeMode::kTupleAtATime:
-          name += "_Tuple";
-          break;
-        case exec::ProbeMode::kGroupPrefetch:
-          name += "_Gp";
-          break;
-        case exec::ProbeMode::kAmac:
-          name += "_Amac";
-          break;
-      }
+      // The fused side's probes group-prefetch, its only probe schedule.
+      name += "_Gp";
       return name;
     });
 
@@ -149,8 +135,8 @@ TEST(PipelineReportTest, FusedPlansMaterializeFewerBytes) {
 
 // --- Vectorized stages over every view kind ---------------------------------
 //
-// The fused path's refinements and its scan-fed sinks read raw run
-// pointers through ForEachRun and the gather kernels; the materializing
+// The fused path's refinements and its sinks read raw run pointers
+// through ForEachRun and the gather kernels; the materializing
 // operators read the same columns through ColumnReader. On views whose
 // runs break inside a morsel both must agree on every refinement kind
 // and aggregate. Grouped results carry counts; the kernel property tests
@@ -194,7 +180,7 @@ std::vector<plan::Plan> GatherPlans() {
   scan_plan({Predicate::U8Range(ColId::kLReturnflag, 0, 1),
              Predicate::U32Range(ColId::kLQuantity, 10, 30)},
             sum, "U8FirstSum");
-  // Sinks after a probe read ids in completion order via ColumnReader.
+  // Sinks after a probe get its matches as ascending flushes.
   for (const AggSpec& agg : {sum, group}) {
     plan::PlanBuilder b;
     const int ord = b.Scan(
@@ -214,10 +200,9 @@ std::vector<QueryResult> ExpectLoweringsAgree(const TpchDbView& view,
   std::vector<QueryResult> out;
   QueryConfig cfg;
   cfg.num_threads = 3;
-  cfg.probe_mode = exec::ProbeMode::kAmac;
   for (const plan::Plan& p : GatherPlans()) {
-    const plan::PlanDecisions d = plan::DecideFor(p, view, cfg);
-    auto fused = plan::ExecuteFused(p, view, cfg, d);
+    const plan::PlanDecisions d = plan::DecideFor(p, cfg);
+    auto fused = plan::ExecuteFused(p, view, cfg);
     auto mat = plan::ExecuteMaterializing(p, view, cfg, d);
     EXPECT_TRUE(fused.ok()) << what << " " << p.name() << ": "
                             << fused.status().ToString();

@@ -1,15 +1,17 @@
 // Equivalence and decision tests for the plan compiler (plan/planner.h):
 // every catalog query — including the plan-only ones that never had
 // hand-written drivers — must produce byte-identical results through the
-// materializing and fused lowerings, over resident and paged columns,
-// across probe modes. On top of the matrix: scalar-loop oracles for the
-// plan-only Q5-style queries, ad-hoc plans through RunPlan (one of them
-// not fusable), and unit tests for the planner's decisions (the default
-// and forced lowerings, RHO and the other joins through the
+// materializing and fused lowerings, over resident and paged columns.
+// On top of the matrix: scalar-loop oracles for the plan-only Q5-style
+// queries, ad-hoc plans through RunPlan (one of them not fusable, one
+// with duplicate build keys), and unit tests for the planner's decisions
+// (the default and forced lowerings, RHO and the other joins through the
 // PlanDecisions::joins seam, explain output).
 //
 // Wired into the ASan/UBSan and TSan CI jobs (`ctest -L
-// planner_equivalence_test`) alongside pipeline_test.
+// planner_equivalence_test`) alongside pipeline_test; the ASan/UBSan job
+// runs it once more built for the runner's CPU, so probe-fed sinks run
+// the SIMD gather kernels sanitized.
 
 #include "plan/planner.h"
 
@@ -19,10 +21,12 @@
 #include <optional>
 #include <string>
 #include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "exec/pipeline.h"
 #include "plan/catalog.h"
 #include "storage/buffer_manager.h"
 #include "tpch/paged_db.h"
@@ -110,20 +114,19 @@ std::vector<uint64_t> ReferenceQ5G(const TpchDb& db) {
 constexpr int kCatalogQueries[] = {1,   3,   6,   10,  12, 19,
                                    105, 106, 112};  // all catalog numbers
 
-using MatrixParam = std::tuple<int, bool, exec::ProbeMode>;
+using MatrixParam = std::tuple<int, bool>;
 
 class PlannerEquivalenceTest
     : public ::testing::TestWithParam<MatrixParam> {};
 
 TEST_P(PlannerEquivalenceTest, LoweringsAgree) {
-  auto [query, paged, probe_mode] = GetParam();
+  auto [query, paged] = GetParam();
   PlannerWorld& w = World();
   const TpchDbView view = paged ? w.paged.View() : ViewOf(w.db);
 
   QueryConfig cfg;
   cfg.num_threads = 2;
   cfg.radix_bits = 8;
-  cfg.probe_mode = probe_mode;
 
   cfg.pipeline = false;
   auto materializing = RunQuery(query, view, cfg);
@@ -149,25 +152,13 @@ TEST_P(PlannerEquivalenceTest, LoweringsAgree) {
 INSTANTIATE_TEST_SUITE_P(
     AllCatalogQueries, PlannerEquivalenceTest,
     ::testing::Combine(::testing::ValuesIn(kCatalogQueries),
-                       ::testing::Bool(),
-                       ::testing::Values(exec::ProbeMode::kTupleAtATime,
-                                         exec::ProbeMode::kGroupPrefetch,
-                                         exec::ProbeMode::kAmac)),
+                       ::testing::Bool()),
     [](const ::testing::TestParamInfo<MatrixParam>& info) {
       const plan::CatalogEntry* e = plan::FindQuery(std::get<0>(info.param));
       std::string name = e != nullptr ? e->name : "unknown";
       name += std::get<1>(info.param) ? "_Paged" : "_Resident";
-      switch (std::get<2>(info.param)) {
-        case exec::ProbeMode::kTupleAtATime:
-          name += "_Tuple";
-          break;
-        case exec::ProbeMode::kGroupPrefetch:
-          name += "_Gp";
-          break;
-        case exec::ProbeMode::kAmac:
-          name += "_Amac";
-          break;
-      }
+      // The fused side's probes group-prefetch, its only probe schedule.
+      name += "_Gp";
       return name;
     });
 
@@ -262,6 +253,63 @@ TEST(RunPlanTest, AdHocPlanRunsInBothModes) {
   }
 }
 
+TEST(RunPlanTest, DuplicateBuildKeysEmitOneRowPerMatch) {
+  // Builds on lineitem and probes orders on o_orderkey, so each order is
+  // emitted once per lineitem row carrying its key. On l_orderkey that is
+  // about four rows per key; on l_quantity (50 distinct values) orders
+  // 1-50 each match about 1/50 of lineitem, and the fused probe's
+  // ordering pass falls back to a full sort. Either way the single
+  // 15,000-row orders morsel yields about 60k matches, more than a lane's
+  // 32 Ki-row buffer, so the fused probe flushes mid-morsel.
+  PlannerWorld& w = World();
+  for (plan::ColId build_key :
+       {plan::ColId::kLOrderkey, plan::ColId::kLQuantity}) {
+    const std::string key = plan::ColName(build_key);
+    plan::PlanBuilder b;
+    const int li = b.Scan(plan::TableId::kLineitem);
+    const int ord = b.Scan(plan::TableId::kOrders);
+    const int j = b.Join(li, ord, build_key, plan::ColId::kOOrderkey);
+    auto built = b.Build(
+        b.Aggregate(j, plan::AggSpec::SumProduct(plan::ColId::kOOrderdate,
+                                                 plan::ColId::kOCustkey)),
+        "dupkeys");
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    const plan::Plan plan = std::move(built).value();
+
+    const auto& keys = build_key == plan::ColId::kLOrderkey
+                           ? w.db.lineitem.l_orderkey
+                           : w.db.lineitem.l_quantity;
+    std::unordered_map<uint32_t, uint64_t> lines;
+    for (size_t i = 0; i < w.db.lineitem.num_rows; ++i) ++lines[keys[i]];
+    uint64_t rows = 0;
+    uint64_t sum = 0;
+    for (size_t i = 0; i < w.db.orders.num_rows; ++i) {
+      const auto it = lines.find(w.db.orders.o_orderkey[i]);
+      if (it == lines.end()) continue;
+      rows += it->second;
+      sum += it->second * w.db.orders.o_orderdate[i] *
+             w.db.orders.o_custkey[i];
+    }
+    ASSERT_LE(w.db.orders.num_rows, exec::kMorselGrain);
+    ASSERT_GT(rows, exec::kMorselGrain) << key << ": no mid-probe flush";
+
+    for (bool paged : {false, true}) {
+      const TpchDbView view = paged ? w.paged.View() : ViewOf(w.db);
+      for (bool fused : {false, true}) {
+        QueryConfig cfg;
+        cfg.num_threads = 2;
+        cfg.pipeline = fused;
+        auto r = RunPlan(plan, view, cfg);
+        ASSERT_TRUE(r.ok()) << r.status().ToString();
+        EXPECT_EQ(r.value().count, rows)
+            << key << " paged=" << paged << " fused=" << fused;
+        EXPECT_EQ(r.value().group_counts, std::vector<uint64_t>{sum})
+            << key << " paged=" << paged << " fused=" << fused;
+      }
+    }
+  }
+}
+
 // part JOIN (orders JOIN lineitem): the outer join probes another join,
 // so the fused lowering cannot drive it and the planner lowers it
 // materializing whatever the pipeline knob says.
@@ -314,11 +362,11 @@ TEST(RunPlanTest, NonFusablePlanLowersMaterializing) {
     QueryConfig cfg;
     cfg.num_threads = 2;
     cfg.pipeline = pipeline;
-    const plan::PlanDecisions d = plan::DecideFor(plan, ViewOf(w.db), cfg);
+    const plan::PlanDecisions d = plan::DecideFor(plan, cfg);
     EXPECT_FALSE(d.fused) << "pipeline=" << pipeline.has_value();
     EXPECT_NE(plan::Explain(plan, d).find("mode=materializing (not fusable)"),
               std::string::npos);
-    auto fused = plan::ExecuteFused(plan, ViewOf(w.db), cfg, d);
+    auto fused = plan::ExecuteFused(plan, ViewOf(w.db), cfg);
     ASSERT_FALSE(fused.ok());
     EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument)
         << fused.status().ToString();
@@ -357,32 +405,30 @@ TEST(PlannerDecisionTest, EveryCatalogPlanIsFusedLowerable) {
 }
 
 TEST(PlannerDecisionTest, ExplicitPipelineKnobForcesLowering) {
-  PlannerWorld& w = World();
   const plan::CatalogEntry* q3 = plan::FindQuery(3);
   ASSERT_NE(q3, nullptr);
   QueryConfig cfg;
 
   cfg.pipeline = false;
-  plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
+  plan::PlanDecisions d = plan::DecideFor(q3->plan, cfg);
   EXPECT_FALSE(d.fused);
   EXPECT_TRUE(d.forced);
 
   cfg.pipeline = true;
-  d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
+  d = plan::DecideFor(q3->plan, cfg);
   EXPECT_TRUE(d.fused);
   EXPECT_TRUE(d.forced);
 }
 
 TEST(PlannerDecisionTest, CatalogLowersFusedByDefaultAndRhoWhenForced) {
-  PlannerWorld& w = World();
   for (const plan::CatalogEntry& e : plan::Catalog()) {
     QueryConfig cfg;  // no pipeline knob
-    plan::PlanDecisions d = plan::DecideFor(e.plan, ViewOf(w.db), cfg);
+    plan::PlanDecisions d = plan::DecideFor(e.plan, cfg);
     EXPECT_TRUE(d.fused) << e.name;
     EXPECT_FALSE(d.forced) << e.name;
 
     cfg.pipeline = false;
-    d = plan::DecideFor(e.plan, ViewOf(w.db), cfg);
+    d = plan::DecideFor(e.plan, cfg);
     EXPECT_FALSE(d.fused) << e.name;
     ASSERT_EQ(d.joins.size(), e.plan.nodes().size()) << e.name;
     for (size_t id = 0; id < d.joins.size(); ++id) {
@@ -426,7 +472,7 @@ TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
         cfg.num_threads = 2;
         cfg.radix_bits = 8;
         cfg.flavor = flavor;
-        plan::PlanDecisions d = plan::DecideFor(e->plan, ViewOf(w.db), cfg);
+        plan::PlanDecisions d = plan::DecideFor(e->plan, cfg);
         for (join::JoinAlgorithm& j : d.joins) j = algo;
         auto r = plan::ExecuteMaterializing(e->plan, ViewOf(w.db), cfg, d);
         ASSERT_TRUE(r.ok()) << r.status().ToString();
@@ -448,12 +494,11 @@ TEST(PlannerDecisionTest, AllRhoMaterializingMatchesReference) {
 // --- Explain ----------------------------------------------------------------
 
 TEST(ExplainTest, HeaderLineOverPlanText) {
-  PlannerWorld& w = World();
   const plan::CatalogEntry* q3 = plan::FindQuery(3);
   QueryConfig cfg;
-  plan::PlanDecisions d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
+  plan::PlanDecisions d = plan::DecideFor(q3->plan, cfg);
   std::string text = plan::Explain(q3->plan, d);
-  EXPECT_EQ(text.rfind("mode=fused (default) probe=", 0), 0u) << text;
+  EXPECT_EQ(text.rfind("mode=fused (default)\n", 0), 0u) << text;
   EXPECT_EQ(text.substr(text.find('\n') + 1), q3->plan.ToText()) << text;
   EXPECT_NE(text.find("plan Q3"), std::string::npos) << text;
   EXPECT_NE(text.find("Scan(customer)"), std::string::npos) << text;
@@ -463,7 +508,7 @@ TEST(ExplainTest, HeaderLineOverPlanText) {
 
   // A materializing explain names the join each node runs.
   cfg.pipeline = false;
-  d = plan::DecideFor(q3->plan, ViewOf(w.db), cfg);
+  d = plan::DecideFor(q3->plan, cfg);
   text = plan::Explain(q3->plan, d);
   EXPECT_EQ(text.rfind("mode=materializing (forced) joins=RHO,RHO\n", 0), 0u)
       << text;
