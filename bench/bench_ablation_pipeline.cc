@@ -18,8 +18,9 @@
 //
 // Reproduce the CSV with:
 //   SGXBENCH_CSV_DIR=results ./build/bench/bench_ablation_pipeline
-// CI runs the same binary with SGXBENCH_SMOKE=1 (tiny SF) purely as a
-// code-path and artifact check.
+// CI runs the same binary twice: with SGXBENCH_SMOKE=1 (tiny SF) as a
+// code-path and artifact check, and at SF 0.1 with SGXBENCH_REPS=3 for
+// the gates.
 
 #include <algorithm>
 #include <cstdlib>
@@ -166,7 +167,7 @@ int main() {
       "materializing operator writes is re-read by the next one, and "
       "in-enclave that traffic pays memory encryption both ways. The "
       "per-morsel selection vectors stay in worker-local arena scratch "
-      "(cache-resident), so only pipeline breakers — hash-table builds "
+      "(cache-resident), so only pipeline breakers — key-bitmap builds "
       "and the final aggregates — still touch shared memory.");
 
   if (!counts_agree) {

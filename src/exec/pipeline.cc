@@ -18,11 +18,8 @@ Status PipelineLane::Reserve(size_t grain) {
   if (!sel_a.ok()) return sel_a.status();
   auto sel_b = arena_.AllocateArray<uint64_t>(grain);
   if (!sel_b.ok()) return sel_b.status();
-  auto stage = arena_.AllocateArray<Tuple>(grain);
-  if (!stage.ok()) return stage.status();
   sel_in_ = sel_a.value();
   sel_out_ = sel_b.value();
-  stage_ = stage.value();
   capacity_ = grain;
   return Status::OK();
 }

@@ -8,7 +8,7 @@
 // ONE pass per morsel on the work-stealing executor: the intermediate
 // "row-id list" shrinks to a per-morsel selection vector in worker-local,
 // arena-backed scratch that stays cache-resident, and only pipeline
-// breakers (hash-table builds, final aggregates) write anything global.
+// breakers (join key bitmaps, final aggregates) write anything global.
 //
 // The driver owns the per-lane scratch and the parallel loop; the fused
 // operator chain itself is the caller's morsel body (plan/fused.cc
@@ -26,7 +26,6 @@
 
 #include "common/parallel.h"
 #include "common/status.h"
-#include "common/types.h"
 #include "mem/arena.h"
 
 namespace sgxb::mem {
@@ -35,9 +34,9 @@ class ArenaPool;
 
 namespace sgxb::exec {
 
-/// \brief Rows per morsel. The lane scratch (two selection vectors + a
-/// tuple staging buffer, 24 bytes/row) is sized to this, so the working
-/// set of one morsel stays cache-resident: 32 Ki rows = 768 KiB.
+/// \brief Rows per morsel. The lane scratch (two selection vectors,
+/// 16 bytes/row) is sized to this, so the working set of one morsel stays
+/// cache-resident: 32 Ki rows = 512 KiB.
 inline constexpr size_t kMorselGrain = 32 * 1024;
 
 struct PipelineConfig {
@@ -54,8 +53,8 @@ struct PipelineConfig {
 };
 
 /// \brief Worker-local scratch for one pipeline lane: a double-buffered
-/// selection vector (absolute row ids) and a tuple staging area for
-/// batched probes, all carved from an arena over the query's resource.
+/// selection vector (absolute row ids), carved from an arena over the
+/// query's resource.
 class PipelineLane {
  public:
   PipelineLane(int id, mem::MemoryResource* resource,
@@ -79,9 +78,6 @@ class PipelineLane {
   /// refinement consumed sel_in and produced sel_out).
   void FlipSel() { std::swap(sel_in_, sel_out_); }
 
-  /// \brief Staging buffer for batched hash probes: `capacity()` tuples.
-  Tuple* stage() { return stage_; }
-
   /// \brief The lane's arena, for pipeline-specific extra scratch
   /// (thread-local aggregation states, ...). Lane-local: never share
   /// carve-outs across lanes.
@@ -93,7 +89,6 @@ class PipelineLane {
   size_t capacity_ = 0;
   uint64_t* sel_in_ = nullptr;
   uint64_t* sel_out_ = nullptr;
-  Tuple* stage_ = nullptr;
 };
 
 /// \brief The fused operator chain, invoked once per morsel. `morsel` is

@@ -37,10 +37,8 @@
 //
 // Resolution: a join's mode comes from JoinConfig (unset = derived from
 // the kernel flavour), sizes from perf::CalibrationParams unless the
-// caller pins them; the fused lowering (plan/fused.cc) always runs group
-// prefetching at the calibrated size. For AMAC the ring width *is* the
-// prefetch distance: a state's prefetch is issued roughly W visits before
-// its use.
+// caller pins them. For AMAC the ring width *is* the prefetch distance: a
+// state's prefetch is issued roughly W visits before its use.
 
 #ifndef SGXB_EXEC_PROBE_PIPELINE_H_
 #define SGXB_EXEC_PROBE_PIPELINE_H_

@@ -1,18 +1,15 @@
 // Shared bucket-chained hash table (Blanas et al. layout).
 //
-// Extracted from the PHT join so that every consumer of a latched-build /
-// latch-free-probe chained table — PhtJoin itself and the fused TPC-H
-// pipelines (exec/pipeline.h, plan/fused.cc) — runs one
-// implementation. The table does not own its memory: callers carve the
-// bucket + overflow arrays from a JoinScratch / Arena / resource buffer
-// (sized by BytesFor) so allocation policy and enclave accounting stay
-// with the owner.
+// The PHT join's latched-build / latch-free-probe chained table. The
+// table does not own its memory: callers carve the bucket + overflow
+// arrays from a JoinScratch / Arena / resource buffer (sized by
+// BytesFor) so allocation policy and enclave accounting stay with the
+// owner.
 //
 // Concurrency contract: Insert() takes the head bucket's latch and is
 // safe from any number of threads. ProbeBucket() and the batched cursor
 // are latch-free and must only run once all inserts have completed (the
-// joins barrier between build and probe; the pipeline DAG orders build
-// pipelines before probing ones).
+// join barriers between build and probe).
 
 #ifndef SGXB_JOIN_HASH_TABLE_H_
 #define SGXB_JOIN_HASH_TABLE_H_

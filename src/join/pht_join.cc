@@ -18,8 +18,7 @@ namespace sgxb::join {
 namespace {
 
 // The table itself (latched build, latch-free snapshot probe, batched
-// probe cursor) lives in join/hash_table.h, shared with the fused TPC-H
-// pipelines.
+// probe cursor) lives in join/hash_table.h.
 using HashTable = BucketChainTable;
 
 // PHT's build and probe loops walk latched bucket chains: they are

@@ -1,23 +1,23 @@
 // Generic fused lowering: compiles a Plan into a short DAG of
 // RunMorselPipeline stages (docs/pipelines.md), replacing the
 // hand-written per-query fused drivers. Each join becomes a build
-// pipeline (drive the build subtree, insert into a pipeline-breaker
-// hash table) plus a probe stage fused into its parent's pipeline; the
-// root aggregate runs as a per-lane sink in the last pipeline. Probes
-// group-prefetch, and every id list a sink receives is ascending.
+// pipeline (drive the build subtree, set each surviving row's key in a
+// pipeline-breaker key bitmap) plus a probe stage fused into its
+// parent's pipeline, which keeps the probe rows whose key bit is set;
+// the root aggregate runs as a per-lane sink in the last pipeline. Every
+// id list a sink receives is ascending.
 
 #include <algorithm>
 #include <atomic>
 #include <cctype>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "common/timer.h"
+#include "common/types.h"
 #include "exec/pipeline.h"
-#include "exec/probe_pipeline.h"
-#include "join/hash_table.h"
-#include "join/join_common.h"
 #include "obs/trace.h"
 #include "plan/planner.h"
 #include "scan/scan_kernels.h"
@@ -28,7 +28,6 @@ namespace sgxb::plan {
 
 namespace {
 
-using join::BucketChainTable;
 using storage::ColumnReader;
 using storage::ColumnView;
 using tpch::GroupAgg;
@@ -40,24 +39,91 @@ using tpch::QueryResult;
 // state is a fixed array this large.
 constexpr int kMaxGroups = 64;
 
-// A pipeline-breaker hash table plus the resource buffer backing it,
-// sized for the build side's pre-filter row count (like the
-// materializing operators' worst-case row-id lists).
-struct FusedTable {
-  AlignedBuffer buf;
-  BucketChainTable table;
+// A join's pipeline breaker: one bit per key of the build key's dense
+// domain [0, rows) (IsDenseKey), so a probe is one bit test. The build
+// pipeline sets bits in one private bitmap per lane; Merge ORs them into
+// lane 0's, which the probe then reads.
+struct KeyBitmap {
+  AlignedBuffer buf;  // `lanes` bitmaps of `words` words each
+  uint32_t domain = 0;
+  size_t words = 0;
+  int lanes = 0;
 
-  Status Init(size_t capacity, const QueryConfig& config) {
-    auto mem = tpch::EffectiveResource(config)->Allocate(
-        BucketChainTable::BytesFor(capacity));
+  Status Init(size_t rows, const QueryConfig& config) {
+    if (rows > std::numeric_limits<uint32_t>::max()) {
+      return Status::NotSupported("key domain exceeds 32 bits");
+    }
+    domain = static_cast<uint32_t>(rows);
+    words = (rows + 63) / 64;
+    lanes = std::max(1, config.num_threads);
+    auto mem = tpch::EffectiveResource(config)->AllocateZeroed(
+        static_cast<size_t>(lanes) * words * sizeof(uint64_t));
     if (!mem.ok()) return mem.status();
     buf = std::move(mem).value();
-    table.Bind(buf.data(), capacity);
-    const int threads = config.num_threads;
-    return ParallelRun(threads, [&](int tid) {
-      Range r = SplitRange(table.num_buckets, threads, tid);
-      table.InitBuckets(r.begin, r.end);
-    });
+    return Status::OK();
+  }
+
+  uint64_t* lane(int i) {
+    return buf.As<uint64_t>() + static_cast<size_t>(i) * words;
+  }
+  /// The merged bitmap.
+  const uint64_t* bits() const { return buf.As<uint64_t>(); }
+  size_t bytes() const { return words * sizeof(uint64_t); }
+
+  // Sets the keys run[id - base] of ids[0, m) in lane `lane_id`'s
+  // bitmap. Stops at the first key that breaks the dense-key declaration,
+  // one outside the domain or already set in this lane, and returns it
+  // in *bad.
+  bool SetKeys(int lane_id, const uint32_t* run, uint64_t base,
+               const uint64_t* ids, size_t m, uint32_t* bad) {
+    uint64_t* bits = lane(lane_id);
+    for (size_t i = 0; i < m; ++i) {
+      const uint32_t key = run[ids[i] - base];
+      const uint64_t bit = uint64_t{1} << (key & 63);
+      if (key >= domain || (bits[key >> 6] & bit) != 0) {
+        *bad = key;
+        return false;
+      }
+      bits[key >> 6] |= bit;
+    }
+    return true;
+  }
+
+  Status BadKey(ColId col, uint32_t key) const {
+    const std::string what = std::string(ColName(col)) + " " +
+                             std::to_string(key);
+    if (key >= domain) {
+      return Status::InvalidArgument(what +
+                                     " lies outside its dense key domain "
+                                     "[0, " + std::to_string(domain) + ")");
+    }
+    return Status::InvalidArgument(what +
+                                   " repeats; a dense key is unique");
+  }
+
+  // ORs every lane into lane 0, in parallel over word ranges; a bit set
+  // in two lanes is a key the build saw twice.
+  Status Merge(ColId col) {
+    if (lanes == 1) return Status::OK();
+    std::atomic<bool> repeated{false};
+    SGXB_RETURN_NOT_OK(ParallelRun(lanes, [&](int tid) {
+      const Range r = SplitRange(words, lanes, tid);
+      uint64_t* acc = lane(0);
+      uint64_t seen_twice = 0;
+      for (size_t w = r.begin; w < r.end; ++w) {
+        uint64_t word = acc[w];
+        for (int l = 1; l < lanes; ++l) {
+          const uint64_t x = lane(l)[w];
+          seen_twice |= word & x;
+          word |= x;
+        }
+        acc[w] = word;
+      }
+      if (seen_twice != 0) repeated.store(true, std::memory_order_relaxed);
+    }));
+    if (!repeated.load()) return Status::OK();
+    return Status::InvalidArgument(std::string(ColName(col)) +
+                                   " repeats a key; a dense key is unique");
   }
 };
 
@@ -98,53 +164,6 @@ Status ForEachIdRun(const uint64_t* ids, size_t m, Fn&& fn,
       cols...);
 }
 
-void StageTuples(ColumnReader<uint32_t>& keys, const uint64_t* ids,
-                 size_t n, Tuple* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i].key = keys[ids[i]];
-    out[i].payload = static_cast<uint32_t>(ids[i]);
-  }
-}
-
-// Probes the staged tuples with group prefetching (exec/probe_pipeline.h)
-// at the calibrated group size, the width a join resolves by default.
-template <typename OnMatch>
-void ProbeStaged(const BucketChainTable& table, const Tuple* staged,
-                 size_t n, OnMatch& on_match) {
-  static const int width = join::EffectiveProbeWidth(
-      join::JoinConfig{}, exec::ProbeMode::kGroupPrefetch);
-  join::BucketChainCursor<OnMatch> cursors[exec::kMaxProbeWidth];
-  for (int i = 0; i < width; ++i) {
-    cursors[i].table = &table;
-    cursors[i].on_match = &on_match;
-  }
-  exec::GroupPrefetchProbe(staged, n, width, cursors);
-}
-
-// Restores ascending order to one flush of probe matches. The probe
-// stages ascending ids and group prefetching finishes each group before
-// it starts the next, so a match sits at most one group's matches from
-// its place. With unique build keys a group emits at most one match per
-// probe, so an id moves fewer than kMaxProbeWidth places and the
-// insertion pass is linear. A build key repeated many times makes a
-// group's matches long and interleaved; once the pass averages
-// kMaxProbeWidth moves per match it sorts the flush instead. Kept out of
-// line: inlined into the match callback, it slows the probe loop.
-[[gnu::noinline]] void SortProbeMatches(uint64_t* ids, size_t m) {
-  size_t moves = 0;
-  for (size_t i = 1; i < m; ++i) {
-    const uint64_t v = ids[i];
-    size_t j = i;
-    for (; j > 0 && ids[j - 1] > v; --j) ids[j] = ids[j - 1];
-    ids[j] = v;
-    moves += i - j;
-    if (moves > static_cast<size_t>(exec::kMaxProbeWidth) * m) {
-      std::sort(ids, ids + m);
-      return;
-    }
-  }
-}
-
 Result<double> RunPipe(const std::string& span_name, size_t total,
                        const QueryConfig& config,
                        const exec::MorselBody& body) {
@@ -163,7 +182,9 @@ Result<double> RunPipe(const std::string& span_name, size_t total,
   return static_cast<double>(timer.ElapsedNanos());
 }
 
-// Probes group-prefetch, so their random reads are hidden.
+// These labels are not derived from the loops that run: a probe is
+// charged as a hidden (software-prefetched) random read into the
+// breaker, and a build row as a Tuple-sized write.
 perf::AccessProfile PipeProfile(size_t seq_read_bytes, size_t rows,
                                 uint64_t probes, size_t probe_ws,
                                 uint64_t sink_rows, size_t sink_ws) {
@@ -192,9 +213,8 @@ struct alignas(kCacheLineSize) LaneSlot {
 };
 
 // A fused stage's consumer: receives the surviving row ids of the
-// subtree's output table, morsel by morsel (possibly several flushes
-// per morsel when a probe overflows the lane's selection buffer). Every
-// flush is ascending; a probe row repeats once per matching build row.
+// subtree's output table, one ascending list per morsel. A join builds
+// on a unique key, so a probe row appears at most once.
 using MorselSink =
     std::function<Status(exec::PipelineLane&, const uint64_t*, size_t)>;
 
@@ -208,7 +228,7 @@ class FusedExec {
         scan_u8_(scan::PickRowIdKernel(SimdLevel::kAvx512)),
         scan_u32_(scan::PickRowIdKernelU32(SimdLevel::kAvx512)),
         gather_(scan::PickGatherKernels(SimdLevel::kAvx512)),
-        tables_(plan.nodes().size()) {
+        bitmaps_(plan.nodes().size()) {
     prefix_ = plan.name();
     for (char& c : prefix_) {
       c = static_cast<char>(std::tolower(static_cast<unsigned char>(c)));
@@ -218,10 +238,10 @@ class FusedExec {
   Result<QueryResult> Run();
 
  private:
-  // Builds (and fills) the breaker hash table of every join in the
-  // subtree, bottom-up: inner joins' tables fill first so an outer
-  // build pipeline can probe them.
-  Status PrepareTables(int id, const std::string& suffix);
+  // Builds (and fills) the key bitmap of every join in the subtree,
+  // bottom-up: inner joins' bitmaps fill first so an outer build
+  // pipeline can probe them.
+  Status PrepareBitmaps(int id, const std::string& suffix);
 
   // Runs the subtree as one pipeline (scans and probes fused), feeding
   // surviving row ids to `sink`. `role` names the pipeline ("build",
@@ -258,7 +278,7 @@ class FusedExec {
   const scan::RowIdKernel scan_u8_;
   const scan::RowIdKernelU32 scan_u32_;
   const scan::GatherKernels& gather_;
-  std::vector<FusedTable> tables_;
+  std::vector<KeyBitmap> bitmaps_;
   std::string prefix_;
   OpRecorder rec_;
 };
@@ -373,7 +393,7 @@ Status FusedExec::DriveJoin(int id, const std::string& name,
                             size_t sink_ws) {
   const PlanNode& n = plan_.node(id);
   const PlanNode& probe_scan = plan_.node(n.probe);
-  const FusedTable& tbl = tables_[static_cast<size_t>(id)];
+  const KeyBitmap& bm = bitmaps_[static_cast<size_t>(id)];
   const size_t total = TableRows(db_, probe_scan.table);
   const ColumnView<uint32_t> pkey = U32Column(db_, n.probe_key);
   std::atomic<uint64_t> sel_rows{0};
@@ -383,34 +403,27 @@ Status FusedExec::DriveJoin(int id, const std::string& name,
         auto filtered = ApplyPreds(probe_scan, r, lane);
         if (!filtered.ok()) return filtered.status();
         const size_t k = filtered.value();
-        ColumnReader<uint32_t> pkey_r(pkey);
-        StageTuples(pkey_r, lane.sel_out(), k, lane.stage());
+        // The probe is one more refinement: keep the ids whose key bit
+        // is set, in order.
         lane.FlipSel();
         uint64_t* out = lane.sel_out();
-        const size_t cap = lane.capacity();
         size_t m = 0;
-        Status sink_status = Status::OK();
-        auto flush = [&] {
-          SortProbeMatches(out, m);
-          Status s = sink(lane, out, m);
-          if (!s.ok() && sink_status.ok()) sink_status = std::move(s);
-          m = 0;
-        };
-        auto on_match = [&](const Tuple&, const Tuple& probe) {
-          out[m++] = probe.payload;
-          if (m == cap) flush();
-        };
-        ProbeStaged(tbl.table, lane.stage(), k, on_match);
-        if (m > 0) flush();
+        SGXB_RETURN_NOT_OK(ForEachIdRun(
+            lane.sel_in(), k,
+            [&](size_t base, size_t run_rows, const uint64_t* in, size_t c,
+                const uint32_t* run) {
+              m += gather_.u32_in_bitmap(run, base, run_rows, in, c,
+                                         bm.bits(), bm.domain, out + m);
+            },
+            pkey));
         sel_rows.fetch_add(k, std::memory_order_relaxed);
-        SGXB_RETURN_NOT_OK(sink_status);
-        return pkey_r.status();
+        return sink(lane, out, m);
       });
   if (!ns.ok()) return ns.status();
   rec_.Record(name, ns.value(),
               PipeProfile(PredBytes(probe_scan) +
                               sel_rows.load() * sizeof(uint32_t),
-                          total, sel_rows.load(), tbl.buf.size(),
+                          total, sel_rows.load(), bm.bytes(),
                           sink_rows ? sink_rows->load() : 0, sink_ws),
               config_.num_threads);
   return Status::OK();
@@ -449,44 +462,48 @@ Status FusedExec::DriveSubtree(int id, const std::string& role,
   return Status::Internal("DriveSubtree reached an aggregate node");
 }
 
-Status FusedExec::PrepareTables(int id, const std::string& suffix) {
+Status FusedExec::PrepareBitmaps(int id, const std::string& suffix) {
   const PlanNode& n = plan_.node(id);
   switch (n.kind) {
     case PlanNode::Kind::kScan:
       return Status::OK();
     case PlanNode::Kind::kAggregate:
-      return PrepareTables(n.input, suffix);
+      return PrepareBitmaps(n.input, suffix);
     case PlanNode::Kind::kUnionAll: {
       int branch = 0;
       for (int c : n.children) {
         SGXB_RETURN_NOT_OK(
-            PrepareTables(c, suffix + "_b" + std::to_string(++branch)));
+            PrepareBitmaps(c, suffix + "_b" + std::to_string(++branch)));
       }
       return Status::OK();
     }
     case PlanNode::Kind::kJoin: {
       // Inner joins first: this join's build pipeline may probe them.
-      SGXB_RETURN_NOT_OK(PrepareTables(n.build, suffix));
-      FusedTable& tbl = tables_[static_cast<size_t>(id)];
+      SGXB_RETURN_NOT_OK(PrepareBitmaps(n.build, suffix));
+      KeyBitmap& bm = bitmaps_[static_cast<size_t>(id)];
       SGXB_RETURN_NOT_OK(
-          tbl.Init(TableRows(db_, plan_.OutputTable(n.build)), config_));
+          bm.Init(TableRows(db_, TableOf(n.build_key)), config_));
       const ColumnView<uint32_t> bkey = U32Column(db_, n.build_key);
       std::atomic<uint64_t> inserted{0};
-      MorselSink insert_sink =
-          [&](exec::PipelineLane&, const uint64_t* ids,
-              size_t cnt) -> Status {
-        ColumnReader<uint32_t> key(bkey);
-        for (size_t i = 0; i < cnt; ++i) {
-          tbl.table.Insert(
-              Tuple{key[ids[i]], static_cast<uint32_t>(ids[i])});
-        }
+      MorselSink set_keys = [&](exec::PipelineLane& lane,
+                                const uint64_t* ids, size_t cnt) -> Status {
+        bool ok = true;
+        uint32_t bad = 0;
+        SGXB_RETURN_NOT_OK(ForEachIdRun(
+            ids, cnt,
+            [&](size_t base, size_t, const uint64_t* in, size_t c,
+                const uint32_t* run) {
+              ok = ok && bm.SetKeys(lane.lane_id(), run, base, in, c, &bad);
+            },
+            bkey));
+        if (!ok) return bm.BadKey(n.build_key, bad);
         inserted.fetch_add(cnt, std::memory_order_relaxed);
-        return key.status();
+        return Status::OK();
       };
-      SGXB_RETURN_NOT_OK(DriveSubtree(n.build, "build", suffix,
-                                      insert_sink, &inserted,
-                                      tbl.buf.size()));
-      tpch::ChargeBytesMaterialized(inserted.load() * sizeof(Tuple));
+      SGXB_RETURN_NOT_OK(DriveSubtree(n.build, "build", suffix, set_keys,
+                                      &inserted, bm.bytes()));
+      SGXB_RETURN_NOT_OK(bm.Merge(n.build_key));
+      tpch::ChargeBytesMaterialized(bm.buf.size());
       return Status::OK();
     }
   }
@@ -495,7 +512,7 @@ Status FusedExec::PrepareTables(int id, const std::string& suffix) {
 
 Result<QueryResult> FusedExec::Run() {
   WallTimer timer;
-  SGXB_RETURN_NOT_OK(PrepareTables(plan_.root(), ""));
+  SGXB_RETURN_NOT_OK(PrepareBitmaps(plan_.root(), ""));
 
   const PlanNode& root = plan_.node(plan_.root());
   const AggSpec& agg = root.agg;
@@ -670,8 +687,8 @@ Result<QueryResult> ExecuteFused(const Plan& plan,
                                  const QueryConfig& config) {
   if (!FusedLowerable(plan)) {
     return Status::InvalidArgument(
-        "plan has a join probing a non-scan; fused lowering requires "
-        "scan probe children");
+        "fused lowering requires every join to probe a scan and to build "
+        "on a dense key");
   }
   FusedExec exec(plan, db, config);
   return exec.Run();

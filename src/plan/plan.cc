@@ -54,6 +54,11 @@ const char* TableName(TableId table) {
   return kTableNames[static_cast<size_t>(table)];
 }
 
+bool IsDenseKey(ColId col) {
+  return col == ColId::kCCustkey || col == ColId::kOOrderkey ||
+         col == ColId::kPPartkey;
+}
+
 size_t TableRows(const tpch::TpchDbView& db, TableId table) {
   switch (table) {
     case TableId::kCustomer:

@@ -72,6 +72,13 @@ ColType TypeOf(ColId col);
 const char* ColName(ColId col);
 const char* TableName(TableId table);
 
+/// \brief True for the dense unique keys c_custkey, o_orderkey and
+/// p_partkey: a table of n rows holds each key of [0, n) exactly once
+/// (the generator writes key = row index). A join that builds on one
+/// matches each probe row at most once, and the fused lowering answers it
+/// with a bitmap over [0, n) (docs/pipelines.md).
+bool IsDenseKey(ColId col);
+
 /// \brief Row count of `table` in the bound database view.
 size_t TableRows(const tpch::TpchDbView& db, TableId table);
 
@@ -174,8 +181,8 @@ struct PlanNode {
   // are probe-side rows, one per matching build row: a probe row that
   // matches k build rows appears k times, one that matches none is
   // dropped. Build keys need not be unique (Plan::FromNodes does not
-  // check); every catalog plan builds on a primary key, so there each
-  // probe row appears at most once.
+  // check); every catalog plan builds on a dense key (IsDenseKey), so
+  // there each probe row appears at most once.
   int build = -1;
   int probe = -1;
   ColId build_key = ColId::kCCustkey;

@@ -24,7 +24,8 @@ bool FusedLowerable(const Plan& plan) {
   if (!plan.valid()) return false;
   for (const PlanNode& n : plan.nodes()) {
     if (n.kind == PlanNode::Kind::kJoin &&
-        plan.node(n.probe).kind != PlanNode::Kind::kScan) {
+        (plan.node(n.probe).kind != PlanNode::Kind::kScan ||
+         !IsDenseKey(n.build_key))) {
       return false;
     }
   }

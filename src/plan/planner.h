@@ -52,15 +52,16 @@ Result<tpch::QueryResult> ExecuteMaterializing(
     const tpch::QueryConfig& config, const PlanDecisions& decisions);
 
 /// \brief Executes `plan` as a chain of fused morsel pipelines, every
-/// join probing with group prefetching. Requires every join's probe
-/// child to be a scan (DecideFor never chooses fused otherwise; catalog
-/// plans all qualify).
+/// join probing a bitmap of its build keys. Requires FusedLowerable
+/// (DecideFor never chooses fused otherwise; catalog plans all qualify).
+/// A build key that breaks its dense-key declaration (a repeat, or a key
+/// outside [0, rows)) fails the query with InvalidArgument.
 Result<tpch::QueryResult> ExecuteFused(const Plan& plan,
                                        const tpch::TpchDbView& db,
                                        const tpch::QueryConfig& config);
 
-/// \brief True when ExecuteFused can lower this plan (all probe
-/// children are scans).
+/// \brief True when ExecuteFused can lower this plan: every join
+/// probes a scan and builds on a dense key (IsDenseKey).
 bool FusedLowerable(const Plan& plan);
 
 /// \brief Decide + execute: the planner's main entry point.

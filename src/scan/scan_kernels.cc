@@ -92,6 +92,16 @@ size_t RefineU32RangeScalar(const uint32_t* run, uint64_t base, size_t,
   });
 }
 
+size_t RefineU32InBitmapScalar(const uint32_t* run, uint64_t base, size_t,
+                               const uint64_t* ids, size_t m,
+                               const uint64_t* bitmap, uint32_t domain,
+                               uint64_t* out) {
+  return RefineScalar(base, ids, m, out, [&](uint64_t off) {
+    const uint32_t key = run[off];
+    return key < domain && ((bitmap[key >> 6] >> (key & 63)) & 1) != 0;
+  });
+}
+
 size_t RefineU8RangeScalar(const uint8_t* run, uint64_t base, size_t,
                            const uint64_t* ids, size_t m, uint8_t lo,
                            uint8_t hi, uint64_t* out) {
@@ -152,8 +162,9 @@ inline size_t U8GatherSafe(uint64_t base, size_t n, const uint64_t* ids,
 }
 
 constexpr GatherKernels kScalarGather = {
-    &RefineU32RangeScalar, &RefineU8RangeScalar, &RefineU8InSetScalar,
-    &RefineU32LessScalar,  &SumProductScalar,    &GroupSum2Scalar,
+    &RefineU32RangeScalar, &RefineU32InBitmapScalar, &RefineU8RangeScalar,
+    &RefineU8InSetScalar,  &RefineU32LessScalar,     &SumProductScalar,
+    &GroupSum2Scalar,
 };
 
 }  // namespace
@@ -419,8 +430,9 @@ size_t GroupSum2Avx2(const uint32_t* val, const uint8_t* g1,
 }
 
 constexpr GatherKernels kAvx2Gather = {
-    &RefineU32RangeAvx2, &RefineU8RangeAvx2, &RefineU8InSetAvx2,
-    &RefineU32LessAvx2,  &SumProductAvx2,    &GroupSum2Avx2,
+    &RefineU32RangeAvx2, &RefineU32InBitmapScalar, &RefineU8RangeAvx2,
+    &RefineU8InSetAvx2,  &RefineU32LessAvx2,       &SumProductAvx2,
+    &GroupSum2Avx2,
 };
 
 }  // namespace
@@ -723,8 +735,9 @@ size_t GroupSum2Avx512(const uint32_t* val, const uint8_t* g1,
 }
 
 constexpr GatherKernels kAvx512Gather = {
-    &RefineU32RangeAvx512, &RefineU8RangeAvx512, &RefineU8InSetAvx512,
-    &RefineU32LessAvx512,  &SumProductAvx512,    &GroupSum2Avx512,
+    &RefineU32RangeAvx512, &RefineU32InBitmapScalar, &RefineU8RangeAvx512,
+    &RefineU8InSetAvx512,  &RefineU32LessAvx512,     &SumProductAvx512,
+    &GroupSum2Avx512,
 };
 
 }  // namespace

@@ -93,8 +93,8 @@ SimdLevel BestSupportedSimdLevel();
 // and aggregates on a selection vector of row ids. Each kernel works on
 // one run as storage::ForEachRun hands it out: `run` holds rows
 // [base, base + n), and every id of `ids[0, m)` lies in that range in
-// ascending order; an id after a join repeats once per matching build
-// row. A kernel reads run[id - base] and never past run + n. A 32-bit
+// ascending order (an id may repeat). A kernel reads run[id - base] and
+// never past run + n. A 32-bit
 // gather of a u8 value reads 3 bytes beyond it, so the u8 kernels gather
 // only ids at least 4 bytes before the run's end and finish the last few
 // scalar (at most 3 distinct ids).
@@ -122,6 +122,15 @@ struct GatherKernels {
   size_t (*u32_range)(const uint32_t* run, uint64_t base, size_t n,
                       const uint64_t* ids, size_t m, uint32_t lo,
                       uint32_t hi, uint64_t* out);
+  /// Keeps ids whose key run[id] is below `domain` and has its bit set
+  /// in `bitmap` (key k is bit k % 64 of word k / 64; the bitmap holds
+  /// (domain + 63) / 64 words). A key at or above `domain` is a miss and
+  /// reads no bitmap word. Scalar at every level: a key gather followed
+  /// by a dependent bitmap-word gather ran slower than the scalar loop.
+  size_t (*u32_in_bitmap)(const uint32_t* run, uint64_t base, size_t n,
+                          const uint64_t* ids, size_t m,
+                          const uint64_t* bitmap, uint32_t domain,
+                          uint64_t* out);
   /// Keeps ids with lo <= run[id] <= hi.
   size_t (*u8_range)(const uint8_t* run, uint64_t base, size_t n,
                      const uint64_t* ids, size_t m, uint8_t lo, uint8_t hi,

@@ -150,18 +150,23 @@ Status VersionedTpchDb::Commit(const UpdateOp& op) {
     CtrVersionsRetired()->Increment();
   }
 
-  if (options_.reclaim_on_commit) ReclaimLocked();
+  // A commit retires at most one version, so freeing up to two works a
+  // backlog off while no single commit pays for all of it: the first
+  // commit after a long snapshot unpins would otherwise free every
+  // version retired while it was pinned.
+  constexpr uint64_t kMaxReclaimPerCommit = 2;
+  if (options_.reclaim_on_commit) ReclaimLocked(kMaxReclaimPerCommit);
   HistCommitNs()->Record(timer.ElapsedNanos());
   return Status::OK();
 }
 
-uint64_t VersionedTpchDb::ReclaimLocked() {
+uint64_t VersionedTpchDb::ReclaimLocked(uint64_t limit) {
   // The retire list is epoch-ordered (commits append under the latch), so
   // reclamation pops from the head until it hits the first version some
-  // pinned snapshot can still reach — amortized O(1) per commit.
+  // pinned snapshot can still reach, or has freed `limit` versions.
   const uint64_t min_pinned = epochs_.MinPinned();
   uint64_t n = 0;
-  while (retired_head_ != nullptr &&
+  while (n < limit && retired_head_ != nullptr &&
          retired_head_->retire_epoch <= min_pinned) {
     RetiredVersion* r = retired_head_;
     retired_head_ = r->retire_next;

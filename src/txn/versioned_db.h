@@ -18,8 +18,8 @@
 //  * Reclamation is epoch-based: a retired chunk is freed (through the
 //    configured mem::MemoryResource, so EDMM trim accounting sees the
 //    churn) once the registry's minimum pinned epoch reaches its retiring
-//    commit. Commits reclaim amortized in-line; ReclaimQuiescent() /
-//    Drain() are for tests and teardown.
+//    commit. Each commit frees at most two quiescent versions in-line;
+//    ReclaimQuiescent() / Drain() free all of them (tests and teardown).
 //
 // All activity is published to the obs registry (txn.* counters,
 // txn.commit_ns histogram) and surfaced per query in QueryReport.
@@ -69,9 +69,9 @@ struct TxnOptions {
   /// Resource owning version-chunk memory (null = mem::SimulatedEnclave();
   /// pass mem::ForEnclave(e) to charge a live enclave and pay EDMM costs).
   mem::MemoryResource* resource = nullptr;
-  /// Reclaim quiescent retired chunks inside each commit (amortized,
-  /// O(1) per commit since the retire list is epoch-ordered). Disable for
-  /// tests that want to stage reclamation explicitly.
+  /// Reclaim quiescent retired chunks inside each commit, at most two per
+  /// commit (a commit retires at most one, so a backlog still drains).
+  /// Disable for tests that want to stage reclamation explicitly.
   bool reclaim_on_commit = true;
 };
 
@@ -157,7 +157,8 @@ class VersionedTpchDb {
   }
 
  private:
-  uint64_t ReclaimLocked();  ///< under commit_mu_
+  /// Frees up to `limit` quiescent versions; under commit_mu_.
+  uint64_t ReclaimLocked(uint64_t limit = UINT64_MAX);
 
   tpch::TpchDbView base_;
   TxnOptions options_;

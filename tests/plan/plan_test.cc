@@ -1,9 +1,10 @@
 // Unit tests for the plan IR (plan/plan.h) and the query catalog
 // (plan/catalog.h): builder construction, the validation errors the
 // planner relies on never seeing (unbound columns, type mismatches,
-// cyclic or DAG-shaped "trees"), and catalog integrity — every declared
+// cyclic or DAG-shaped "trees"), catalog integrity — every declared
 // query must be a valid plan, and RunQuery-style lookup must fail
-// cleanly for numbers outside the catalog.
+// cleanly for numbers outside the catalog — and the dense-key
+// declaration against generated data.
 
 #include "plan/plan.h"
 
@@ -13,6 +14,8 @@
 #include <vector>
 
 #include "plan/catalog.h"
+#include "storage/column_view.h"
+#include "tpch/tpch_gen.h"
 #include "tpch/tpch_schema.h"
 
 namespace sgxb::plan {
@@ -251,6 +254,42 @@ TEST(CatalogTest, SharedConstantsStayInSync) {
   ASSERT_EQ(scan.kind, PlanNode::Kind::kScan);
   ASSERT_EQ(scan.predicates.size(), 1u);
   EXPECT_EQ(scan.predicates[0].hi, tpch::kQ1Cutoff);
+}
+
+// --- Dense keys ---------------------------------------------------------------
+
+// The fused lowering answers a join on a declared dense key with a bitmap
+// over [0, rows), so every declared column of generated data must hold
+// each key of that domain exactly once.
+TEST(DenseKeyTest, GeneratedDataSatisfiesTheDeclaration) {
+  std::vector<ColId> declared;
+  for (int c = 0; c <= static_cast<int>(ColId::kPContainer); ++c) {
+    if (IsDenseKey(static_cast<ColId>(c))) {
+      declared.push_back(static_cast<ColId>(c));
+    }
+  }
+  EXPECT_EQ(declared, (std::vector<ColId>{ColId::kCCustkey, ColId::kOOrderkey,
+                                          ColId::kPPartkey}));
+  for (double sf : {0.01, 0.05}) {
+    tpch::GenConfig gen;
+    gen.scale_factor = sf;
+    const tpch::TpchDb db = tpch::Generate(gen).value();
+    const tpch::TpchDbView view = tpch::ViewOf(db);
+    for (ColId col : declared) {
+      const size_t rows = TableRows(view, TableOf(col));
+      ASSERT_GT(rows, 0u);
+      std::vector<bool> seen(rows, false);
+      storage::ColumnReader<uint32_t> keys(U32Column(view, col));
+      for (size_t i = 0; i < rows; ++i) {
+        const uint32_t key = keys[i];
+        ASSERT_LT(key, rows) << ColName(col) << " at SF " << sf;
+        ASSERT_FALSE(seen[key])
+            << ColName(col) << " repeats " << key << " at SF " << sf;
+        seen[key] = true;
+      }
+      ASSERT_TRUE(keys.status().ok()) << keys.status().ToString();
+    }
+  }
 }
 
 }  // namespace

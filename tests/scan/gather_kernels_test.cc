@@ -352,12 +352,56 @@ TEST(GatherKernelPropertyTest, GroupSumStopsAtFirstBadCode) {
   ExpectGatherKernelsMatch(f, 10, 20, 0x6, 3, 3, "planted");
 }
 
+// The bitmap refinement of a fused join's probe. The run of keys and
+// the bitmap's words both end at a guard page: a key at or past the
+// domain that read its word, with a domain that is a multiple of 64,
+// would fault. Keys 0, domain - 1, domain and 0xffffffff are planted
+// throughout, including the run's last rows.
+TEST(GatherKernelPropertyTest, BitmapTestMatchesOracle) {
+  Xoshiro256 rng(64);
+  const double densities[] = {0.05, 0.5, 1.0};
+  for (uint32_t domain : {0u, 1u, 37u, 640u, 100003u}) {
+    const size_t words = (static_cast<size_t>(domain) + 63) / 64;
+    GuardedArray<uint64_t> bitmap(words);
+    for (size_t w = 0; w < words; ++w) bitmap[w] = rng.Next();
+    const uint32_t edges[] = {0u, domain - 1, domain, 0xffffffffu};
+    for (double density : densities) {
+      const size_t n = 1 + rng.NextBounded(5000);
+      RunFixture f(rng, n, (1ull << 34) + rng.NextBounded(100), density,
+                   domain + 64, 4);
+      for (size_t i = 0; i < n; i += 1 + rng.NextBounded(8)) {
+        f.a[i] = edges[rng.NextBounded(4)];
+      }
+      f.a[n - 1] = edges[rng.NextBounded(4)];
+      const auto want = OracleRefine(f, [&](uint64_t o) {
+        const uint32_t key = f.a[o];
+        return key < domain && ((bitmap[key / 64] >> (key % 64)) & 1) != 0;
+      });
+      for (SimdLevel level : kLevels) {
+        const GatherKernels& g = PickGatherKernels(level);
+        EXPECT_EQ(RunRefine(f,
+                            [&](const uint64_t* in, size_t m, uint64_t* out) {
+                              return g.u32_in_bitmap(f.a.data(), f.base, f.n,
+                                                     in, m, bitmap.data(),
+                                                     domain, out);
+                            }),
+                  want)
+            << SimdLevelToString(level) << " domain=" << domain
+            << " n=" << n << " m=" << f.ids.size();
+      }
+    }
+  }
+}
+
 TEST(GatherKernelPropertyTest, EmptyIdListTouchesNothing) {
   GuardedArray<uint32_t> col(0);
   GuardedArray<uint8_t> codes(0);
   for (SimdLevel level : kLevels) {
     const GatherKernels& g = PickGatherKernels(level);
     EXPECT_EQ(g.u32_range(col.data(), 0, 0, nullptr, 0, 0, 1, nullptr), 0u);
+    EXPECT_EQ(g.u32_in_bitmap(col.data(), 0, 0, nullptr, 0, nullptr, 0,
+                              nullptr),
+              0u);
     EXPECT_EQ(g.u8_range(codes.data(), 0, 0, nullptr, 0, 0, 1, nullptr), 0u);
     EXPECT_EQ(g.sum_product(col.data(), col.data(), 0, 0, nullptr, 0), 0u);
   }

@@ -8,8 +8,8 @@
 // ScatterBufferScratch::Reserve).
 //
 // This suite is wired into the ASan/UBSan and TSan CI jobs (`ctest -L
-// pipeline_test`), so the fused driver's worker-local scratch and shared
-// hash-table builds get raced under TSan on every change; the ASan/UBSan
+// pipeline_test`), so the fused driver's worker-local scratch and the
+// key-bitmap merges get raced under TSan on every change; the ASan/UBSan
 // job runs it once more built for the runner's CPU, so the SIMD kernels
 // run sanitized too.
 
@@ -103,7 +103,9 @@ INSTANTIATE_TEST_SUITE_P(
                   ? "_Plain"
                   : "_Sgx";
       name += "_T" + std::to_string(std::get<2>(info.param));
-      // The fused side's probes group-prefetch, its only probe schedule.
+      // "_Gp" named the fused probe schedule, group prefetching; fused
+      // probes now test a key bitmap, and the suffix stays so that the
+      // case names do not change.
       name += "_Gp";
       return name;
     });

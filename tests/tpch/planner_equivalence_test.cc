@@ -3,9 +3,10 @@
 // hand-written drivers — must produce byte-identical results through the
 // materializing and fused lowerings, over resident and paged columns.
 // On top of the matrix: scalar-loop oracles for the plan-only Q5-style
-// queries, ad-hoc plans through RunPlan (one of them not fusable, one
-// with duplicate build keys), and unit tests for the planner's decisions
-// (the default and forced lowerings, RHO and the other joins through the
+// queries, ad-hoc plans through RunPlan (two of them not fusable: one
+// probing a join, one with duplicate build keys), data that breaks the
+// dense-key declaration, and unit tests for the planner's decisions (the
+// default and forced lowerings, RHO and the other joins through the
 // PlanDecisions::joins seam, explain output).
 //
 // Wired into the ASan/UBSan and TSan CI jobs (`ctest -L
@@ -157,7 +158,9 @@ INSTANTIATE_TEST_SUITE_P(
       const plan::CatalogEntry* e = plan::FindQuery(std::get<0>(info.param));
       std::string name = e != nullptr ? e->name : "unknown";
       name += std::get<1>(info.param) ? "_Paged" : "_Resident";
-      // The fused side's probes group-prefetch, its only probe schedule.
+      // "_Gp" named the fused probe schedule, group prefetching; fused
+      // probes now test a key bitmap, and the suffix stays so that the
+      // case names do not change.
       name += "_Gp";
       return name;
     });
@@ -255,12 +258,11 @@ TEST(RunPlanTest, AdHocPlanRunsInBothModes) {
 
 TEST(RunPlanTest, DuplicateBuildKeysEmitOneRowPerMatch) {
   // Builds on lineitem and probes orders on o_orderkey, so each order is
-  // emitted once per lineitem row carrying its key. On l_orderkey that is
-  // about four rows per key; on l_quantity (50 distinct values) orders
-  // 1-50 each match about 1/50 of lineitem, and the fused probe's
-  // ordering pass falls back to a full sort. Either way the single
-  // 15,000-row orders morsel yields about 60k matches, more than a lane's
-  // 32 Ki-row buffer, so the fused probe flushes mid-morsel.
+  // emitted once per lineitem row carrying its key: about four rows per
+  // key on l_orderkey, and on l_quantity (50 distinct values) orders 1-50
+  // each match about 1/50 of lineitem. Neither build key is a dense key,
+  // so the plan is not fusable and lowers materializing (RHO) whatever
+  // the pipeline knob says.
   PlannerWorld& w = World();
   for (plan::ColId build_key :
        {plan::ColId::kLOrderkey, plan::ColId::kLQuantity}) {
@@ -275,6 +277,10 @@ TEST(RunPlanTest, DuplicateBuildKeysEmitOneRowPerMatch) {
         "dupkeys");
     ASSERT_TRUE(built.ok()) << built.status().ToString();
     const plan::Plan plan = std::move(built).value();
+    EXPECT_FALSE(plan::FusedLowerable(plan)) << key;
+    auto fused = plan::ExecuteFused(plan, ViewOf(w.db), QueryConfig{});
+    ASSERT_FALSE(fused.ok()) << key;
+    EXPECT_EQ(fused.status().code(), StatusCode::kInvalidArgument) << key;
 
     const auto& keys = build_key == plan::ColId::kLOrderkey
                            ? w.db.lineitem.l_orderkey
@@ -290,21 +296,71 @@ TEST(RunPlanTest, DuplicateBuildKeysEmitOneRowPerMatch) {
       sum += it->second * w.db.orders.o_orderdate[i] *
              w.db.orders.o_custkey[i];
     }
-    ASSERT_LE(w.db.orders.num_rows, exec::kMorselGrain);
-    ASSERT_GT(rows, exec::kMorselGrain) << key << ": no mid-probe flush";
+    ASSERT_GT(rows, w.db.orders.num_rows) << key << ": no repeated matches";
 
     for (bool paged : {false, true}) {
       const TpchDbView view = paged ? w.paged.View() : ViewOf(w.db);
-      for (bool fused : {false, true}) {
+      for (std::optional<bool> pipeline :
+           {std::optional<bool>(), std::optional<bool>(true),
+            std::optional<bool>(false)}) {
         QueryConfig cfg;
         cfg.num_threads = 2;
-        cfg.pipeline = fused;
+        cfg.pipeline = pipeline;
+        const std::string at =
+            key + " paged=" + std::to_string(paged) + " pipeline=" +
+            (pipeline.has_value() ? std::to_string(*pipeline) : "unset");
+        const plan::PlanDecisions d = plan::DecideFor(plan, cfg);
+        EXPECT_FALSE(d.fused) << at;
+        EXPECT_NE(
+            plan::Explain(plan, d).find("mode=materializing (not fusable)"),
+            std::string::npos)
+            << at;
         auto r = RunPlan(plan, view, cfg);
-        ASSERT_TRUE(r.ok()) << r.status().ToString();
-        EXPECT_EQ(r.value().count, rows)
-            << key << " paged=" << paged << " fused=" << fused;
-        EXPECT_EQ(r.value().group_counts, std::vector<uint64_t>{sum})
-            << key << " paged=" << paged << " fused=" << fused;
+        ASSERT_TRUE(r.ok()) << at << ": " << r.status().ToString();
+        EXPECT_EQ(r.value().count, rows) << at;
+        EXPECT_EQ(r.value().group_counts, std::vector<uint64_t>{sum}) << at;
+      }
+    }
+  }
+}
+
+// The fused lowering trusts the dense-key declaration (plan::IsDenseKey)
+// only as far as it can check it: a build key that repeats, or that lies
+// outside [0, rows), fails the query instead of miscounting. At SF 0.03
+// orders spans two morsels, so the repeat below sits in two morsels: one
+// lane's bitmap sees it twice, or the merge sees it in two lanes.
+TEST(RunPlanTest, BrokenDenseKeyFailsTheFusedQuery) {
+  auto broken = [](bool repeat) {
+    GenConfig gen;
+    gen.scale_factor = 0.03;
+    TpchDb db = Generate(gen).value();
+    const size_t last = db.orders.num_rows - 1;
+    EXPECT_GT(last, exec::kMorselGrain);
+    db.orders.o_orderkey[last] =
+        repeat ? 0u : static_cast<uint32_t>(db.orders.num_rows);
+    return db;
+  };
+  for (bool repeat : {true, false}) {
+    const TpchDb db = broken(repeat);
+    storage::BufferManager::Config bm_cfg;
+    bm_cfg.buffer_bytes = 768 << 10;
+    bm_cfg.partition_rows = 4096;
+    storage::BufferManager bm(bm_cfg);
+    const PagedTpchDb paged = PagedTpchDb::Build(db, &bm).value();
+    for (bool on_paged : {false, true}) {
+      const TpchDbView view = on_paged ? paged.View() : ViewOf(db);
+      for (int threads : {1, 4}) {
+        QueryConfig cfg;
+        cfg.num_threads = threads;
+        cfg.pipeline = true;
+        auto r = RunQuery(12, view, cfg);
+        const std::string at = std::string(repeat ? "repeat" : "outside") +
+                               " paged=" + std::to_string(on_paged) +
+                               " threads=" + std::to_string(threads);
+        ASSERT_FALSE(r.ok()) << at << ": count " << r.value().count;
+        EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument) << at;
+        EXPECT_NE(r.status().message().find("o_orderkey"), std::string::npos)
+            << at << ": " << r.status().ToString();
       }
     }
   }

@@ -202,6 +202,55 @@ TEST(VersionedDbTest, ReclamationGatedByPinnedSnapshot) {
   EXPECT_EQ(s.live_version_bytes, s.cow_bytes - s.reclaimed_bytes);
 }
 
+TEST(VersionedDbTest, CommitReclaimsAtMostTwoVersions) {
+  // A snapshot pinned across kBacklog commits to one row leaves every
+  // superseded version on the retire list. Once it unpins, each commit
+  // frees at most two, so no single commit pays for the whole backlog,
+  // and the backlog still drains because a commit retires at most one.
+  constexpr uint64_t kBacklog = 24;
+  VersionedTpchDb vdb(Db());
+  uint32_t value = 0;
+  auto commit = [&] {
+    return vdb.Commit({UpdateColumn::kLDiscount, 7, ++value % 11});
+  };
+  ASSERT_TRUE(commit().ok());  // row 7's first version retires nothing
+  {
+    auto snap = vdb.OpenSnapshot().value();
+    for (uint64_t i = 0; i < kBacklog; ++i) ASSERT_TRUE(commit().ok());
+    EXPECT_EQ(vdb.stats().retired_pending, kBacklog);
+  }
+
+  const uint64_t reclaimed = vdb.stats().versions_reclaimed;
+  ASSERT_TRUE(commit().ok());
+  const uint64_t freed = vdb.stats().versions_reclaimed - reclaimed;
+  EXPECT_GE(freed, 1u);
+  EXPECT_LE(freed, 2u) << "one commit freed the whole backlog";
+
+  uint64_t more = 0;
+  while (vdb.stats().retired_pending > 0 && more < kBacklog) {
+    ASSERT_TRUE(commit().ok());
+    ++more;
+  }
+  EXPECT_EQ(vdb.stats().retired_pending, 0u)
+      << "backlog left after " << more << " more commits";
+
+  // ReclaimQuiescent and Drain are not bounded: they free everything.
+  {
+    auto snap = vdb.OpenSnapshot().value();
+    for (uint64_t i = 0; i < kBacklog; ++i) ASSERT_TRUE(commit().ok());
+  }
+  EXPECT_EQ(vdb.ReclaimQuiescent(), kBacklog);
+  {
+    auto snap = vdb.OpenSnapshot().value();
+    for (uint64_t i = 0; i < kBacklog; ++i) ASSERT_TRUE(commit().ok());
+  }
+  ASSERT_TRUE(vdb.Drain().ok());
+  const TxnStats s = vdb.stats();
+  EXPECT_EQ(s.retired_pending, 0u);
+  EXPECT_EQ(s.versions_retired, s.versions_reclaimed);
+  EXPECT_EQ(s.live_version_bytes, s.cow_bytes - s.reclaimed_bytes);
+}
+
 TEST(VersionedDbTest, CommitValidatesRowRange) {
   VersionedTpchDb vdb(Db());
   EXPECT_FALSE(
