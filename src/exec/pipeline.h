@@ -68,7 +68,6 @@ class PipelineLane {
   Status Reserve(size_t grain);
 
   int lane_id() const { return id_; }
-  size_t capacity() const { return capacity_; }
 
   /// \brief Input selection vector of the current stage.
   uint64_t* sel_in() { return sel_in_; }
@@ -77,11 +76,6 @@ class PipelineLane {
   /// \brief Makes the current output the next stage's input (a
   /// refinement consumed sel_in and produced sel_out).
   void FlipSel() { std::swap(sel_in_, sel_out_); }
-
-  /// \brief The lane's arena, for pipeline-specific extra scratch
-  /// (thread-local aggregation states, ...). Lane-local: never share
-  /// carve-outs across lanes.
-  mem::Arena& arena() { return arena_; }
 
  private:
   int id_;

@@ -5,7 +5,8 @@
 // pipeline-breaker key bitmap) plus a probe stage fused into its
 // parent's pipeline, which keeps the probe rows whose key bit is set;
 // the root aggregate runs as a per-lane sink in the last pipeline. Every
-// id list a sink receives is ascending.
+// id list a sink receives is ascending. Refine, the one predicate
+// evaluator, is shared with the materializing lowering (planner.cc).
 
 #include <algorithm>
 #include <atomic>
@@ -28,8 +29,8 @@ namespace sgxb::plan {
 
 namespace {
 
-using storage::ColumnReader;
 using storage::ColumnView;
+using storage::ForEachIdRun;
 using tpch::GroupAgg;
 using tpch::OpRecorder;
 using tpch::QueryConfig;
@@ -127,43 +128,6 @@ struct KeyBitmap {
   }
 };
 
-// sigma(lo <= col <= hi) over [r.begin, r.end) with a SIMD row-id
-// kernel (picked once per query); writes absolute row ids. Paged and
-// versioned views hand the kernel one pinned run at a time.
-template <typename T>
-Result<size_t> ScanMorsel(const ColumnView<T>& col, Range r, T lo, T hi,
-                          uint64_t* out,
-                          uint64_t (*kernel)(const T*, size_t, T, T,
-                                             uint64_t, uint64_t*)) {
-  size_t k = 0;
-  SGXB_RETURN_NOT_OK(storage::ForEachRun(
-      col, r.begin, r.end, [&](const T* run, size_t base, size_t n) {
-        k += kernel(run, n, lo, hi, base, out + k);
-      }));
-  return k;
-}
-
-// Splits the ascending id list ids[0, m) at the joint run boundaries of
-// `cols` and calls fn(base, n, run_ids, count, runs...) for each run that
-// holds ids, so a gather kernel reads raw run pointers whatever the view
-// kind.
-template <typename Fn, typename... Ts>
-Status ForEachIdRun(const uint64_t* ids, size_t m, Fn&& fn,
-                    const ColumnView<Ts>&... cols) {
-  if (m == 0) return Status::OK();
-  size_t pos = 0;
-  return storage::ForEachJointRun(
-      ids[0], ids[m - 1] + 1,
-      [&](size_t base, size_t n, const Ts*... runs) {
-        const uint64_t* end = std::lower_bound(
-            ids + pos, ids + m, static_cast<uint64_t>(base + n));
-        const size_t count = static_cast<size_t>(end - (ids + pos));
-        if (count > 0) fn(base, n, ids + pos, count, runs...);
-        pos += count;
-      },
-      cols...);
-}
-
 Result<double> RunPipe(const std::string& span_name, size_t total,
                        const QueryConfig& config,
                        const exec::MorselBody& body) {
@@ -258,16 +222,11 @@ class FusedExec {
   // ids end up in lane.sel_out(), ascending.
   Result<size_t> ApplyPreds(const PlanNode& n, Range r,
                             exec::PipelineLane& lane);
-  // Thins the ascending ids[0, m) by one predicate into `out`.
-  Result<size_t> Refine(const Predicate& p, const uint64_t* ids, size_t m,
-                        uint64_t* out) const;
 
   size_t PredBytes(const PlanNode& n) const {
     size_t bytes = 0;
     for (const Predicate& p : n.predicates) {
-      const size_t rows = TableRows(db_, n.table);
-      bytes += rows * (TypeOf(p.col) == ColType::kU32 ? 4 : 1);
-      if (p.kind == Predicate::Kind::kColLess) bytes += rows * 4;
+      bytes += PredicateBytes(p, TableRows(db_, n.table));
     }
     return bytes;
   }
@@ -290,15 +249,15 @@ Result<size_t> FusedExec::ApplyPreds(const PlanNode& n, Range r,
   size_t next = 0;
   const Predicate* first = n.predicates.empty() ? nullptr : &n.predicates[0];
   if (first != nullptr && first->kind == Predicate::Kind::kU32Range) {
-    SGXB_ASSIGN_OR_RETURN(k, ScanMorsel(U32Column(db_, first->col), r,
-                                        first->lo, first->hi, sel,
-                                        scan_u32_));
+    SGXB_ASSIGN_OR_RETURN(k, tpch::ScanMorsel(U32Column(db_, first->col), r,
+                                              first->lo, first->hi, sel,
+                                              scan_u32_));
     next = 1;
   } else if (first != nullptr && first->kind == Predicate::Kind::kU8Range) {
     SGXB_ASSIGN_OR_RETURN(
-        k, ScanMorsel(U8Column(db_, first->col), r,
-                      static_cast<uint8_t>(first->lo),
-                      static_cast<uint8_t>(first->hi), sel, scan_u8_));
+        k, tpch::ScanMorsel(U8Column(db_, first->col), r,
+                            static_cast<uint8_t>(first->lo),
+                            static_cast<uint8_t>(first->hi), sel, scan_u8_));
     next = 1;
   } else {
     // No predicate, or kU8InSet / kColLess first, which have no direct
@@ -307,58 +266,9 @@ Result<size_t> FusedExec::ApplyPreds(const PlanNode& n, Range r,
   }
   for (size_t pi = next; pi < n.predicates.size(); ++pi) {
     lane.FlipSel();
-    SGXB_ASSIGN_OR_RETURN(
-        k, Refine(n.predicates[pi], lane.sel_in(), k, lane.sel_out()));
+    SGXB_ASSIGN_OR_RETURN(k, Refine(n.predicates[pi], db_, gather_,
+                                    lane.sel_in(), k, lane.sel_out()));
   }
-  return k;
-}
-
-Result<size_t> FusedExec::Refine(const Predicate& p, const uint64_t* ids,
-                                 size_t m, uint64_t* out) const {
-  const scan::GatherKernels& g = gather_;
-  size_t k = 0;
-  Status s;
-  switch (p.kind) {
-    case Predicate::Kind::kU32Range:
-      s = ForEachIdRun(
-          ids, m,
-          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
-              const uint32_t* run) {
-            k += g.u32_range(run, base, n, in, cnt, p.lo, p.hi, out + k);
-          },
-          U32Column(db_, p.col));
-      break;
-    case Predicate::Kind::kU8Range:
-      s = ForEachIdRun(
-          ids, m,
-          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
-              const uint8_t* run) {
-            k += g.u8_range(run, base, n, in, cnt,
-                            static_cast<uint8_t>(p.lo),
-                            static_cast<uint8_t>(p.hi), out + k);
-          },
-          U8Column(db_, p.col));
-      break;
-    case Predicate::Kind::kU8InSet:
-      s = ForEachIdRun(
-          ids, m,
-          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
-              const uint8_t* run) {
-            k += g.u8_in_set(run, base, n, in, cnt, p.mask, out + k);
-          },
-          U8Column(db_, p.col));
-      break;
-    case Predicate::Kind::kColLess:
-      s = ForEachIdRun(
-          ids, m,
-          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
-              const uint32_t* a, const uint32_t* b) {
-            k += g.u32_less(a, b, base, n, in, cnt, out + k);
-          },
-          U32Column(db_, p.col), U32Column(db_, p.rhs));
-      break;
-  }
-  SGXB_RETURN_NOT_OK(s);
   return k;
 }
 
@@ -545,50 +455,24 @@ Result<QueryResult> FusedExec::Run() {
         uint64_t c[kMaxGroups] = {};
       };
       std::vector<LaneSlot<Counts>> lane_counts(lanes);
-      std::atomic<bool> out_of_range{false};
       const ColumnView<uint32_t> fk_col = U32Column(db_, agg.fk);
       const ColumnView<uint8_t> val_col = U8Column(db_, agg.values);
       MorselSink sink = [&](exec::PipelineLane& lane, const uint64_t* ids,
                             size_t cnt) -> Status {
-        ColumnReader<uint32_t> fk(fk_col);
-        ColumnReader<uint8_t> vals(val_col);
-        uint64_t* c =
-            lane_counts[static_cast<size_t>(lane.lane_id())].value.c;
-        for (size_t i = 0; i < cnt; ++i) {
-          const uint8_t g = vals[fk[ids[i]]];
-          if (g >= agg.num_groups) {
-            out_of_range.store(true, std::memory_order_relaxed);
-            break;
-          }
-          ++c[g];
-        }
-        SGXB_RETURN_NOT_OK(fk.status());
-        return vals.status();
+        return tpch::CountGroupsViaFk(
+            val_col, fk_col, ids, cnt, agg.num_groups,
+            lane_counts[static_cast<size_t>(lane.lane_id())].value.c);
       };
       SGXB_RETURN_NOT_OK(
           DriveSubtree(root.input, role_for("group"), "", sink, nullptr,
                        val_col.size_bytes()));
-      if (out_of_range.load()) {
-        return Status::Internal("group code out of range in " + prefix_ +
-                                " grouped aggregate");
-      }
       std::vector<uint64_t> raw(static_cast<size_t>(agg.num_groups), 0);
       for (const auto& slot : lane_counts) {
         for (int g = 0; g < agg.num_groups; ++g) {
           raw[static_cast<size_t>(g)] += slot.value.c[g];
         }
       }
-      if (agg.output_map.empty()) {
-        result.group_counts = raw;
-      } else {
-        int slots = 0;
-        for (int m : agg.output_map) slots = std::max(slots, m + 1);
-        result.group_counts.assign(static_cast<size_t>(slots), 0);
-        for (size_t g = 0; g < raw.size(); ++g) {
-          result.group_counts[static_cast<size_t>(agg.output_map[g])] +=
-              raw[g];
-        }
-      }
+      result.group_counts = agg.FoldGroups(std::move(raw));
       for (uint64_t c : result.group_counts) result.count += c;
       break;
     }
@@ -681,6 +565,61 @@ Result<QueryResult> FusedExec::Run() {
 }
 
 }  // namespace
+
+Result<size_t> Refine(const Predicate& p, const tpch::TpchDbView& db,
+                      const scan::GatherKernels& g, const uint64_t* ids,
+                      size_t m, uint64_t* out) {
+  size_t k = 0;
+  Status s;
+  switch (p.kind) {
+    case Predicate::Kind::kU32Range:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint32_t* run) {
+            k += g.u32_range(run, base, n, in, cnt, p.lo, p.hi, out + k);
+          },
+          U32Column(db, p.col));
+      break;
+    case Predicate::Kind::kU8Range:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint8_t* run) {
+            k += g.u8_range(run, base, n, in, cnt,
+                            static_cast<uint8_t>(p.lo),
+                            static_cast<uint8_t>(p.hi), out + k);
+          },
+          U8Column(db, p.col));
+      break;
+    case Predicate::Kind::kU8InSet:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint8_t* run) {
+            k += g.u8_in_set(run, base, n, in, cnt, p.mask, out + k);
+          },
+          U8Column(db, p.col));
+      break;
+    case Predicate::Kind::kColLess:
+      s = ForEachIdRun(
+          ids, m,
+          [&](size_t base, size_t n, const uint64_t* in, size_t cnt,
+              const uint32_t* a, const uint32_t* b) {
+            k += g.u32_less(a, b, base, n, in, cnt, out + k);
+          },
+          U32Column(db, p.col), U32Column(db, p.rhs));
+      break;
+  }
+  SGXB_RETURN_NOT_OK(s);
+  return k;
+}
+
+size_t PredicateBytes(const Predicate& p, size_t rows) {
+  size_t bytes = rows * (TypeOf(p.col) == ColType::kU32 ? 4 : 1);
+  if (p.kind == Predicate::Kind::kColLess) bytes += rows * 4;
+  return bytes;
+}
 
 Result<QueryResult> ExecuteFused(const Plan& plan,
                                  const tpch::TpchDbView& db,

@@ -1,5 +1,6 @@
 #include "plan/plan.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -212,6 +213,17 @@ AggSpec AggSpec::GroupCountViaFk(ColId values, ColId fk, int num_groups,
   a.num_groups = num_groups;
   a.output_map = std::move(output_map);
   return a;
+}
+
+std::vector<uint64_t> AggSpec::FoldGroups(std::vector<uint64_t> raw) const {
+  if (output_map.empty()) return raw;
+  const int slots =
+      1 + *std::max_element(output_map.begin(), output_map.end());
+  std::vector<uint64_t> out(static_cast<size_t>(slots), 0);
+  for (size_t g = 0; g < raw.size(); ++g) {
+    out[static_cast<size_t>(output_map[g])] += raw[g];
+  }
+  return out;
 }
 
 AggSpec AggSpec::GroupSum2(ColId value, ColId g1, int num_g1, ColId g2,

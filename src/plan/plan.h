@@ -92,14 +92,16 @@ storage::ColumnView<uint8_t> U8Column(const tpch::TpchDbView& db,
 
 // --- Predicates -----------------------------------------------------------
 
-/// \brief One conjunct of a scan's selection. The four kinds mirror the
-/// materializing filter/refine operators (tpch/operators.h), which is
-/// exactly what both lowerings can evaluate per morsel.
+/// \brief One conjunct of a scan's selection. Both lowerings evaluate it
+/// with the same kernels: a first u32 or u8 range with a row-id scan,
+/// every other conjunct with plan::Refine (plan/planner.h).
 struct Predicate {
   enum class Kind : uint8_t {
     kU32Range,  ///< lo <= col <= hi (u32)
-    kU8Range,   ///< lo <= col <= hi (u8; SIMD row-id scan eligible)
-    kU8InSet,   ///< bit col's code set in `mask` (codes < 64)
+    kU8Range,   ///< lo <= col <= hi (u8, any code; SIMD row-id scan
+                ///< eligible)
+    kU8InSet,   ///< bit col's code set in `mask`; a code >= 64 is never
+                ///< in the set
     kColLess,   ///< col < rhs (both u32, same table)
   };
 
@@ -160,6 +162,10 @@ struct AggSpec {
   static AggSpec GroupSum2(ColId value, ColId g1, int num_g1, ColId g2,
                            int num_g2);
   static AggSpec SumProduct(ColId a, ColId b);
+
+  /// \brief kGroupCountViaFk's result: `raw` (one count per code)
+  /// folded through output_map.
+  std::vector<uint64_t> FoldGroups(std::vector<uint64_t> raw) const;
 };
 
 // --- Plan nodes -----------------------------------------------------------

@@ -1,6 +1,5 @@
 #include "plan/planner.h"
 
-#include <algorithm>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -8,6 +7,7 @@
 #include <vector>
 
 #include "common/timer.h"
+#include "scan/scan_kernels.h"
 #include "tpch/operators.h"
 
 namespace sgxb::plan {
@@ -66,10 +66,10 @@ std::string Explain(const Plan& plan, const PlanDecisions& d) {
 
 // --- Materializing lowering ----------------------------------------------
 // Reproduces the operator-at-a-time drivers generically: filters drive
-// the first predicate, refinements the rest, joins gather both key
-// columns and run PlanDecisions::joins (RHO). A count(*) root lowers its
-// final join as a CountingJoin (no output materialization), exactly like
-// the hand-written query bodies did.
+// the first predicate, refinements (Refine per thread slice) the rest,
+// joins gather both key columns and run PlanDecisions::joins (RHO). A
+// count(*) root lowers its final join as a CountingJoin (no output
+// materialization), exactly like the hand-written query bodies did.
 
 namespace {
 
@@ -77,7 +77,11 @@ class MatExecutor {
  public:
   MatExecutor(const Plan& plan, const tpch::TpchDbView& db,
               const QueryConfig& config, const PlanDecisions& dec)
-      : plan_(plan), db_(db), config_(config), dec_(dec) {}
+      : plan_(plan),
+        db_(db),
+        config_(config),
+        dec_(dec),
+        gather_(scan::PickGatherKernels(SimdLevel::kAvx512)) {}
 
   Result<QueryResult> Run();
 
@@ -101,6 +105,7 @@ class MatExecutor {
   const tpch::TpchDbView& db_;
   const QueryConfig& config_;
   const PlanDecisions& dec_;
+  const scan::GatherKernels& gather_;
   tpch::OpRecorder rec_;
 };
 
@@ -140,33 +145,13 @@ Result<MatExecutor::RowsOpt> MatExecutor::ExecScan(
 
   for (size_t i = next; i < n.predicates.size(); ++i) {
     const Predicate& p = n.predicates[i];
-    const std::string name =
-        std::string("refine_") + ColName(p.col) + suffix;
-    Result<RowIdList> refined = [&]() -> Result<RowIdList> {
-      switch (p.kind) {
-        case Predicate::Kind::kU32Range:
-          return tpch::RefineU32Range(rows.value(), U32Column(db_, p.col),
-                                      p.lo, p.hi, config_, &rec_, name);
-        case Predicate::Kind::kU8Range: {
-          if (p.hi > 63) {
-            return Status::InvalidArgument(
-                "u8 range refinement requires codes < 64");
-          }
-          uint64_t mask = 0;
-          for (uint32_t c = p.lo; c <= p.hi; ++c) mask |= uint64_t{1} << c;
-          return tpch::RefineU8InSet(rows.value(), U8Column(db_, p.col),
-                                     mask, config_, &rec_, name);
-        }
-        case Predicate::Kind::kU8InSet:
-          return tpch::RefineU8InSet(rows.value(), U8Column(db_, p.col),
-                                     p.mask, config_, &rec_, name);
-        case Predicate::Kind::kColLess:
-          return tpch::RefineLess(rows.value(), U32Column(db_, p.col),
-                                  U32Column(db_, p.rhs), config_, &rec_,
-                                  name);
-      }
-      return Status::Internal("unreachable predicate kind");
-    }();
+    auto refined = tpch::RefineRows(
+        rows.value(),
+        [&](const uint64_t* ids, size_t m, uint64_t* out) {
+          return Refine(p, db_, gather_, ids, m, out);
+        },
+        PredicateBytes(p, TableRows(db_, n.table)), config_, &rec_,
+        std::string("refine_") + ColName(p.col) + suffix);
     if (!refined.ok()) return refined.status();
     rows = std::move(refined);
   }
@@ -312,18 +297,7 @@ Result<QueryResult> MatExecutor::Run() {
           agg.num_groups, config_, &rec_,
           std::string("group_by_") + ColName(agg.values));
       if (!counts.ok()) return counts.status();
-      const std::vector<uint64_t>& raw = counts.value();
-      if (agg.output_map.empty()) {
-        result.group_counts = raw;
-      } else {
-        const int slots = 1 + *std::max_element(agg.output_map.begin(),
-                                                agg.output_map.end());
-        result.group_counts.assign(static_cast<size_t>(slots), 0);
-        for (size_t g = 0; g < raw.size(); ++g) {
-          result.group_counts[static_cast<size_t>(agg.output_map[g])] +=
-              raw[g];
-        }
-      }
+      result.group_counts = agg.FoldGroups(std::move(counts).value());
       for (uint64_t c : result.group_counts) result.count += c;
       break;
     }

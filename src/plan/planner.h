@@ -20,6 +20,10 @@
 #include "plan/plan.h"
 #include "tpch/queries.h"
 
+namespace sgxb::scan {
+struct GatherKernels;
+}
+
 namespace sgxb::plan {
 
 /// \brief Everything the planner decided for one (plan, config) binding.
@@ -63,6 +67,20 @@ Result<tpch::QueryResult> ExecuteFused(const Plan& plan,
 /// \brief True when ExecuteFused can lower this plan: every join
 /// probes a scan and builds on a dense key (IsDenseKey).
 bool FusedLowerable(const Plan& plan);
+
+/// \brief Thins the ascending row ids ids[0, m) of p's table by `p` into
+/// `out` (room for m ids) with the gather kernels `g`, split at the run
+/// boundaries of the columns `p` reads, and returns how many survived,
+/// in order. The one predicate evaluator of both lowerings: a fused
+/// stage refines each morsel with it, the materializing lowering each
+/// thread slice of a row-id list (tpch::RefineRows).
+Result<size_t> Refine(const Predicate& p, const tpch::TpchDbView& db,
+                      const scan::GatherKernels& g, const uint64_t* ids,
+                      size_t m, uint64_t* out);
+
+/// \brief Bytes of the columns `p` reads over a table of `rows` rows
+/// (the working set both lowerings' profiles charge for it).
+size_t PredicateBytes(const Predicate& p, size_t rows);
 
 /// \brief Decide + execute: the planner's main entry point.
 /// tpch::RunPlan / RunQuery wrap this.

@@ -93,18 +93,12 @@ Result<ScanResult> RunBitVectorScan(const Column<uint8_t>& column,
 Result<ScanResult> RunRowIdScan(const Column<uint8_t>& column,
                                 uint64_t* out_ids, uint64_t* out_count,
                                 const ScanConfig& config) {
-  return RunRowIdScan(column.data(), column.num_values(), out_ids,
-                      out_count, config);
-}
-
-Result<ScanResult> RunRowIdScan(const uint8_t* data, size_t num_values,
-                                uint64_t* out_ids, uint64_t* out_count,
-                                const ScanConfig& config) {
   if (config.num_threads <= 0 || config.repetitions <= 0) {
     return Status::InvalidArgument("threads and repetitions must be >= 1");
   }
   RowIdKernel kernel = PickRowIdKernel(config.simd);
-  const size_t n = num_values;
+  const uint8_t* data = column.data();
+  const size_t n = column.num_values();
   const int threads = config.num_threads;
   const bool in_enclave = config.setting != ExecutionSetting::kPlainCpu;
 

@@ -56,12 +56,6 @@ Result<ScanResult> RunRowIdScan(const Column<uint8_t>& column,
                                 uint64_t* out_ids, uint64_t* out_count,
                                 const ScanConfig& config);
 
-/// \brief Raw-pointer variant for callers whose column is not a
-/// Column<uint8_t> (e.g. a resident storage::ColumnView).
-Result<ScanResult> RunRowIdScan(const uint8_t* data, size_t num_values,
-                                uint64_t* out_ids, uint64_t* out_count,
-                                const ScanConfig& config);
-
 }  // namespace sgxb::scan
 
 #endif  // SGXB_SCAN_COLUMN_SCAN_H_

@@ -17,20 +17,20 @@
 //    chunk boundaries.
 //    ForEachJointRun does the same over several columns of one table,
 //    splitting at every column's boundaries, for kernels that read more
-//    than one column per row.
-//  - ColumnReader: positional access by row id. Caches the last pinned
-//    partition (or version chunk); row-id lists produced by scans are
-//    ascending, so nearly every access hits the cached run. operator[]
-//    cannot return a Status, so pin failures latch into status(), which
-//    callers check after the loop (reads after a failure return 0 and
-//    stay memory-safe).
+//    than one column per row, and ForEachIdRun splits an ascending row-id
+//    list at those boundaries, for kernels that gather by id.
+//  - ColumnReader: positional access by row id, for ids in no particular
+//    order (a foreign key, a join's output). Caches the last pinned
+//    partition (or version chunk), so clustered ids mostly hit it.
+//    operator[] cannot return a Status, so pin failures latch into
+//    status(), which callers check after the loop (reads after a failure
+//    return 0 and stay memory-safe).
 
 #ifndef SGXB_STORAGE_COLUMN_VIEW_H_
 #define SGXB_STORAGE_COLUMN_VIEW_H_
 
 #include <algorithm>
 #include <cstddef>
-#include <utility>
 
 #include "common/relation.h"
 #include "common/status.h"
@@ -170,6 +170,28 @@ Status ForEachJointRun(size_t begin, size_t end, Fn&& fn,
   }
 }
 
+/// \brief Splits the ascending id list ids[0, m) at the joint run
+/// boundaries of `cols` (ForEachJointRun over [ids[0], ids[m-1] + 1)) and
+/// invokes `fn(abs_base, count, run_ids, run_count, run_0, ..., run_k)`
+/// for each run that holds ids, so a gather kernel reads raw run pointers
+/// whatever the view kind.
+template <typename Fn, typename... Ts>
+Status ForEachIdRun(const uint64_t* ids, size_t m, Fn&& fn,
+                    const ColumnView<Ts>&... cols) {
+  if (m == 0) return Status::OK();
+  size_t pos = 0;
+  return ForEachJointRun(
+      ids[0], ids[m - 1] + 1,
+      [&](size_t base, size_t n, const Ts*... runs) {
+        const uint64_t* end = std::lower_bound(
+            ids + pos, ids + m, static_cast<uint64_t>(base + n));
+        const size_t count = static_cast<size_t>(end - (ids + pos));
+        if (count > 0) fn(base, n, ids + pos, count, runs...);
+        pos += count;
+      },
+      cols...);
+}
+
 template <typename T>
 class ColumnReader {
  public:
@@ -179,30 +201,6 @@ class ColumnReader {
 
   ColumnReader(const ColumnReader&) = delete;
   ColumnReader& operator=(const ColumnReader&) = delete;
-
-  // Movable so per-thread predicate objects can hold readers by value.
-  ColumnReader(ColumnReader&& other) noexcept { *this = std::move(other); }
-  ColumnReader& operator=(ColumnReader&& other) noexcept {
-    if (this != &other) {
-      Release();
-      run_ = other.run_;
-      run_base_ = other.run_base_;
-      run_len_ = other.run_len_;
-      paged_ = other.paged_;
-      vsrc_ = other.vsrc_;
-      epoch_ = other.epoch_;
-      base_ = other.base_;
-      size_ = other.size_;
-      pinned_part_ = other.pinned_part_;
-      status_ = std::move(other.status_);
-      other.pinned_part_ = kNoPin;
-      other.run_ = nullptr;
-      other.run_len_ = 0;
-      other.paged_ = nullptr;
-      other.vsrc_ = nullptr;
-    }
-    return *this;
-  }
 
   void Reset(const ColumnView<T>& view) {
     Release();

@@ -9,7 +9,6 @@
 #include "common/timer.h"
 #include "join/materializer.h"
 #include "obs/metrics.h"
-#include "scan/column_scan.h"
 #include "scan/scan_kernels.h"
 
 namespace sgxb::tpch {
@@ -33,99 +32,6 @@ join::JoinConfig ToJoinConfig(const QueryConfig& config, bool materialize) {
   jc.resource = config.resource;
   jc.arena_pool = config.arena_pool;
   return jc;
-}
-
-// Per-thread predicate objects for the refinement operators. Each holds
-// storage::ColumnReaders — which cache one pinned partition and must not
-// be shared across threads — and reports pin failures through Done()
-// (operator[] cannot, so a failed pin latches into the reader's status
-// and the reads return 0 until Done() surfaces it).
-struct U8InSetPred {
-  storage::ColumnReader<uint8_t> col;
-  uint64_t set_mask;
-  bool operator()(uint64_t id) { return ((set_mask >> col[id]) & 1u) != 0; }
-  Status Done() { return col.status(); }
-};
-
-struct U32RangePred {
-  storage::ColumnReader<uint32_t> col;
-  uint32_t lo, hi;
-  bool operator()(uint64_t id) {
-    const uint32_t v = col[id];
-    return v >= lo && v <= hi;
-  }
-  Status Done() { return col.status(); }
-};
-
-struct LessPred {
-  storage::ColumnReader<uint32_t> a, b;
-  bool operator()(uint64_t id) { return a[id] < b[id]; }
-  Status Done() {
-    if (!a.status().ok()) return a.status();
-    return b.status();
-  }
-};
-
-// Generic parallel refinement: keeps ids of `in` that satisfy the
-// predicate. `make_pred` runs once per thread and builds that thread's
-// predicate object (so each thread gets its own ColumnReaders). Output
-// order is preserved (per-thread slices are compacted in order).
-template <typename PredFactory>
-Result<RowIdList> RefineImpl(const RowIdList& in, PredFactory make_pred,
-                             size_t gather_bytes,
-                             const QueryConfig& config, OpRecorder* rec,
-                             const std::string& name) {
-  auto out = RowIdList::Allocate(in.count(), config);
-  if (!out.ok()) return out.status();
-  RowIdList result = std::move(out).value();
-
-  const int threads = config.num_threads;
-  std::vector<uint64_t> counts(threads, 0);
-  std::vector<Range> ranges(threads);
-  std::vector<Status> thread_status(threads);
-  WallTimer timer;
-  Status run_status = ParallelRun(threads, [&](int tid) {
-    Range r = SplitRange(in.count(), threads, tid);
-    ranges[tid] = r;
-    auto pred = make_pred();
-    uint64_t k = 0;
-    const uint64_t* ids = in.ids();
-    uint64_t* dst = result.ids() + r.begin;
-    for (size_t i = r.begin; i < r.end; ++i) {
-      uint64_t id = ids[i];
-      dst[k] = id;
-      k += pred(id) ? 1 : 0;
-    }
-    counts[tid] = k;
-    thread_status[tid] = pred.Done();
-  });
-  SGXB_RETURN_NOT_OK(run_status);
-  for (const Status& s : thread_status) SGXB_RETURN_NOT_OK(s);
-  // Compact slices.
-  uint64_t total = counts[0];
-  for (int t = 1; t < threads; ++t) {
-    if (counts[t] > 0 && ranges[t].begin != total) {
-      std::move(result.ids() + ranges[t].begin,
-                result.ids() + ranges[t].begin + counts[t],
-                result.ids() + total);
-    }
-    total += counts[t];
-  }
-  result.set_count(total);
-  ChargeBytesMaterialized(total * sizeof(uint64_t));
-
-  if (rec != nullptr) {
-    perf::AccessProfile p;
-    p.seq_read_bytes = in.count() * sizeof(uint64_t);
-    p.rand_reads = in.count();
-    p.rand_read_working_set = gather_bytes;
-    p.seq_write_bytes = total * sizeof(uint64_t);
-    p.loop_iterations = in.count();
-    p.ilp = perf::IlpClass::kUnrolledReordered;
-    rec->Record(name, static_cast<double>(timer.ElapsedNanos()), p,
-                threads);
-  }
-  return result;
 }
 
 }  // namespace
@@ -170,44 +76,39 @@ void OpRecorder::Absorb(const std::string& prefix,
 
 namespace {
 
-// sigma(lo <= col <= hi) over any view kind: the SIMD row-id kernel runs
-// on each run ForEachRun hands out (one for a resident view, one per
-// pinned partition or version chunk otherwise), and the per-thread
-// slices are compacted in order, so the id list is the same for every
-// thread count and view kind.
-template <typename T>
-Result<RowIdList> FilterRuns(storage::ColumnView<T> col, T lo, T hi,
-                             uint64_t (*kernel)(const T*, size_t, T, T,
-                                                uint64_t, uint64_t*),
-                             const QueryConfig& config, OpRecorder* rec,
-                             const std::string& name) {
-  auto out = RowIdList::Allocate(col.num_values(), config);
+// The skeleton of the filters and RefineRows. `slice` writes the ids it
+// keeps from one thread's slice r of [0, n) to `out`, the slice's own
+// place in the result (room for r.size() ids), and returns how many; the
+// slices are then compacted in order, so the list is the same for every
+// thread count and view kind. `profile(kept)` labels the phase.
+Result<RowIdList> RunSlices(
+    size_t n, const std::function<Result<size_t>(Range, uint64_t*)>& slice,
+    const std::function<perf::AccessProfile(uint64_t)>& profile,
+    const QueryConfig& config, OpRecorder* rec, const std::string& name) {
+  auto out = RowIdList::Allocate(n, config);
   if (!out.ok()) return out.status();
   RowIdList result = std::move(out).value();
 
   const int threads = config.num_threads;
   std::vector<uint64_t> counts(threads, 0);
-  std::vector<Range> ranges(threads);
   std::vector<Status> thread_status(threads);
   WallTimer timer;
   Status run_status = ParallelRun(threads, [&](int tid) {
-    Range r = SplitRange(col.num_values(), threads, tid);
-    ranges[tid] = r;
-    uint64_t* dst = result.ids() + r.begin;
-    uint64_t k = 0;
-    thread_status[tid] = storage::ForEachRun(
-        col, r.begin, r.end, [&](const T* run, size_t base, size_t n) {
-          k += kernel(run, n, lo, hi, base, dst + k);
-        });
-    counts[tid] = k;
+    const Range r = SplitRange(n, threads, tid);
+    Result<size_t> kept = slice(r, result.ids() + r.begin);
+    if (kept.ok()) {
+      counts[tid] = kept.value();
+    } else {
+      thread_status[tid] = kept.status();
+    }
   });
   SGXB_RETURN_NOT_OK(run_status);
   for (const Status& s : thread_status) SGXB_RETURN_NOT_OK(s);
   uint64_t total = counts[0];
   for (int t = 1; t < threads; ++t) {
-    if (counts[t] > 0 && ranges[t].begin != total) {
-      std::move(result.ids() + ranges[t].begin,
-                result.ids() + ranges[t].begin + counts[t],
+    const Range r = SplitRange(n, threads, t);
+    if (counts[t] > 0 && r.begin != total) {
+      std::move(result.ids() + r.begin, result.ids() + r.begin + counts[t],
                 result.ids() + total);
     }
     total += counts[t];
@@ -216,15 +117,34 @@ Result<RowIdList> FilterRuns(storage::ColumnView<T> col, T lo, T hi,
   ChargeBytesMaterialized(total * sizeof(uint64_t));
 
   if (rec != nullptr) {
-    perf::AccessProfile p;
-    p.seq_read_bytes = col.size_bytes();
-    p.seq_write_bytes = total * sizeof(uint64_t);
-    p.loop_iterations = col.num_values();
-    p.ilp = perf::IlpClass::kStreaming;
-    rec->Record(name, static_cast<double>(timer.ElapsedNanos()), p,
-                threads);
+    rec->Record(name, static_cast<double>(timer.ElapsedNanos()),
+                profile(total), threads);
   }
   return result;
+}
+
+// sigma(lo <= col <= hi) over any view kind: each thread scans its slice
+// of the rows with ScanMorsel.
+template <typename T>
+Result<RowIdList> FilterRuns(storage::ColumnView<T> col, T lo, T hi,
+                             uint64_t (*kernel)(const T*, size_t, T, T,
+                                                uint64_t, uint64_t*),
+                             const QueryConfig& config, OpRecorder* rec,
+                             const std::string& name) {
+  return RunSlices(
+      col.num_values(),
+      [&](Range r, uint64_t* out) {
+        return ScanMorsel(col, r, lo, hi, out, kernel);
+      },
+      [&](uint64_t kept) {
+        perf::AccessProfile p;
+        p.seq_read_bytes = col.size_bytes();
+        p.seq_write_bytes = kept * sizeof(uint64_t);
+        p.loop_iterations = col.num_values();
+        p.ilp = perf::IlpClass::kStreaming;
+        return p;
+      },
+      config, rec, name);
 }
 
 }  // namespace
@@ -233,30 +153,8 @@ Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
                                 uint8_t lo, uint8_t hi,
                                 const QueryConfig& config, OpRecorder* rec,
                                 const std::string& name) {
-  if (col.paged() || col.versioned()) {
-    return FilterRuns(col, lo, hi, scan::PickRowIdKernel(SimdLevel::kAvx512),
-                      config, rec, name);
-  }
-
-  auto out = RowIdList::Allocate(col.num_values(), config);
-  if (!out.ok()) return out.status();
-  RowIdList result = std::move(out).value();
-  scan::ScanConfig sc;
-  sc.lo = lo;
-  sc.hi = hi;
-  sc.num_threads = config.num_threads;
-  sc.setting = config.setting;
-  uint64_t count = 0;
-  auto scan_result = scan::RunRowIdScan(col.raw(), col.num_values(),
-                                        result.ids(), &count, sc);
-  if (!scan_result.ok()) return scan_result.status();
-  result.set_count(count);
-  ChargeBytesMaterialized(count * sizeof(uint64_t));
-  if (rec != nullptr) {
-    rec->Record(name, scan_result.value().host_ns,
-                scan_result.value().profile, config.num_threads);
-  }
-  return result;
+  return FilterRuns(col, lo, hi, scan::PickRowIdKernel(SimdLevel::kAvx512),
+                    config, rec, name);
 }
 
 Result<RowIdList> FilterU32Range(storage::ColumnView<uint32_t> col,
@@ -268,44 +166,25 @@ Result<RowIdList> FilterU32Range(storage::ColumnView<uint32_t> col,
                     rec, name);
 }
 
-Result<RowIdList> RefineU8InSet(const RowIdList& in,
-                                storage::ColumnView<uint8_t> col,
-                                uint64_t set_mask,
-                                const QueryConfig& config, OpRecorder* rec,
-                                const std::string& name) {
-  return RefineImpl(
-      in,
-      [col, set_mask] {
-        return U8InSetPred{storage::ColumnReader<uint8_t>(col), set_mask};
+Result<RowIdList> RefineRows(const RowIdList& in, const SliceRefiner& refine,
+                             size_t gather_bytes, const QueryConfig& config,
+                             OpRecorder* rec, const std::string& name) {
+  return RunSlices(
+      in.count(),
+      [&](Range r, uint64_t* out) {
+        return refine(in.ids() + r.begin, r.size(), out);
       },
-      col.size_bytes(), config, rec, name);
-}
-
-Result<RowIdList> RefineU32Range(const RowIdList& in,
-                                 storage::ColumnView<uint32_t> col,
-                                 uint32_t lo, uint32_t hi,
-                                 const QueryConfig& config, OpRecorder* rec,
-                                 const std::string& name) {
-  return RefineImpl(
-      in,
-      [col, lo, hi] {
-        return U32RangePred{storage::ColumnReader<uint32_t>(col), lo, hi};
+      [&](uint64_t kept) {
+        perf::AccessProfile p;
+        p.seq_read_bytes = in.count() * sizeof(uint64_t);
+        p.rand_reads = in.count();
+        p.rand_read_working_set = gather_bytes;
+        p.seq_write_bytes = kept * sizeof(uint64_t);
+        p.loop_iterations = in.count();
+        p.ilp = perf::IlpClass::kUnrolledReordered;
+        return p;
       },
-      col.size_bytes(), config, rec, name);
-}
-
-Result<RowIdList> RefineLess(const RowIdList& in,
-                             storage::ColumnView<uint32_t> a,
-                             storage::ColumnView<uint32_t> b,
-                             const QueryConfig& config, OpRecorder* rec,
-                             const std::string& name) {
-  return RefineImpl(
-      in,
-      [a, b] {
-        return LessPred{storage::ColumnReader<uint32_t>(a),
-                        storage::ColumnReader<uint32_t>(b)};
-      },
-      a.size_bytes() + b.size_bytes(), config, rec, name);
+      config, rec, name);
 }
 
 Result<Relation> GatherKeys(storage::ColumnView<uint32_t> keys,
@@ -464,36 +343,18 @@ Result<std::vector<uint64_t>> GroupCountU8ViaFk(
   if (!partial_buf.ok()) return partial_buf.status();
   AlignedBuffer partials = std::move(partial_buf).value();
   uint64_t* const partial_rows = partials.As<uint64_t>();
-  std::atomic<bool> out_of_range{false};
   std::vector<Status> thread_status(threads);
 
   const size_t n = rows.count();
-  const uint64_t* ids = rows.ids();
   WallTimer timer;
   Status run_status = ParallelRun(threads, [&](int tid) {
-    Range r = SplitRange(n, threads, tid);
-    // Readers are thread-local; a failed pin surfaces through status().
-    storage::ColumnReader<uint8_t> value_r(values);
-    storage::ColumnReader<uint32_t> fk_r(fk);
-    uint64_t* local = partial_rows + static_cast<size_t>(tid) * stride;
-    for (size_t i = r.begin; i < r.end; ++i) {
-      const int g = value_r[fk_r[ids[i]]];
-      if (g >= num_groups) {
-        out_of_range.store(true, std::memory_order_relaxed);
-        break;
-      }
-      ++local[g];
-    }
-    thread_status[tid] =
-        value_r.status().ok() ? fk_r.status() : value_r.status();
+    const Range r = SplitRange(n, threads, tid);
+    thread_status[tid] = CountGroupsViaFk(
+        values, fk, rows.ids() + r.begin, r.size(), num_groups,
+        partial_rows + static_cast<size_t>(tid) * stride);
   });
   SGXB_RETURN_NOT_OK(run_status);
-  // Pin failures first: a failed read yields 0, which is a valid group,
-  // so out_of_range may be a symptom rather than the cause.
   for (const Status& s : thread_status) SGXB_RETURN_NOT_OK(s);
-  if (out_of_range.load()) {
-    return Status::Internal("group code out of range in " + name);
-  }
 
   std::vector<uint64_t> counts(num_groups, 0);
   for (int t = 0; t < threads; ++t) {
@@ -513,6 +374,29 @@ Result<std::vector<uint64_t>> GroupCountU8ViaFk(
                 threads);
   }
   return counts;
+}
+
+Status CountGroupsViaFk(storage::ColumnView<uint8_t> values,
+                        storage::ColumnView<uint32_t> fk,
+                        const uint64_t* ids, size_t n, int num_groups,
+                        uint64_t* counts) {
+  storage::ColumnReader<uint8_t> value_r(values);
+  storage::ColumnReader<uint32_t> fk_r(fk);
+  size_t i = 0;
+  for (; i < n; ++i) {
+    const int g = value_r[fk_r[ids[i]]];
+    if (g >= num_groups) break;
+    ++counts[g];
+  }
+  // Pin failures first: a failed read yields 0, which is a valid group,
+  // so a code out of range may be a symptom rather than the cause.
+  SGXB_RETURN_NOT_OK(fk_r.status());
+  SGXB_RETURN_NOT_OK(value_r.status());
+  if (i < n) {
+    return Status::Internal("group code out of range [0, " +
+                            std::to_string(num_groups) + ")");
+  }
+  return Status::OK();
 }
 
 Result<std::vector<GroupAgg>> GroupSumU32By2U8(

@@ -3,17 +3,20 @@
 // The paper's query framework has no pipelining: "each operator fully
 // materializes its output", MonetDB-style. Selections produce row-id
 // lists (using the SIMD scan kernels from src/scan), refinements thin an
-// existing row-id list with further predicates, gathers turn row-id lists
-// into join input relations (key + row id), and joins run the optimized
-// RHO join with materialized outputs feeding the next operator.
+// existing row-id list with further predicates (the fused stages' gather
+// kernels, through plan::Refine), gathers turn row-id lists into join
+// input relations (key + row id), and joins run the optimized RHO join
+// with materialized outputs feeding the next operator.
 
 #ifndef SGXB_TPCH_OPERATORS_H_
 #define SGXB_TPCH_OPERATORS_H_
 
+#include <functional>
 #include <optional>
 #include <string>
 
 #include "common/aligned_buffer.h"
+#include "common/parallel.h"
 #include "common/relation.h"
 #include "common/status.h"
 #include "join/join_common.h"
@@ -113,9 +116,26 @@ class OpRecorder {
 
 // --- Selections ---------------------------------------------------------
 // Operators take storage::ColumnView (implicitly convertible from
-// Column<T>): resident views keep the historical raw-pointer fast paths;
-// paged views pin one partition at a time through the out-of-EPC buffer
-// manager (docs/storage.md).
+// Column<T>); paged views pin one partition at a time through the
+// out-of-EPC buffer manager (docs/storage.md).
+
+/// \brief sigma(lo <= col <= hi) over the rows [r.begin, r.end): runs the
+/// SIMD row-id `kernel` on each run storage::ForEachRun hands out and
+/// writes the absolute ids of the matches, ascending, to `out` (room for
+/// r.size() ids). The one row-range scan: a fused stage runs it per
+/// morsel, the materializing filters per thread slice.
+template <typename T>
+Result<size_t> ScanMorsel(const storage::ColumnView<T>& col, Range r, T lo,
+                          T hi, uint64_t* out,
+                          uint64_t (*kernel)(const T*, size_t, T, T,
+                                             uint64_t, uint64_t*)) {
+  size_t k = 0;
+  SGXB_RETURN_NOT_OK(storage::ForEachRun(
+      col, r.begin, r.end, [&](const T* run, size_t base, size_t n) {
+        k += kernel(run, n, lo, hi, base, out + k);
+      }));
+  return k;
+}
 
 /// \brief sigma(lo <= col <= hi) over a uint8 column via the SIMD scan.
 Result<RowIdList> FilterU8Range(storage::ColumnView<uint8_t> col,
@@ -130,29 +150,21 @@ Result<RowIdList> FilterU32Range(storage::ColumnView<uint32_t> col,
                                  const QueryConfig& config, OpRecorder* rec,
                                  const std::string& name);
 
-// --- Refinements (thin an existing row-id list) -----------------------------
+// --- Refinement (thins an existing row-id list) ---------------------------
 
-/// \brief Keeps ids where col[id]'s code bit is set in `set_mask`
-/// (codes must be < 64).
-Result<RowIdList> RefineU8InSet(const RowIdList& in,
-                                storage::ColumnView<uint8_t> col,
-                                uint64_t set_mask,
-                                const QueryConfig& config, OpRecorder* rec,
-                                const std::string& name);
+/// \brief Thins the ascending ids[0, m) into `out` (room for m ids) and
+/// returns how many survived, in order (plan::Refine bound to one
+/// predicate).
+using SliceRefiner = std::function<Result<size_t>(const uint64_t* ids,
+                                                  size_t m, uint64_t* out)>;
 
-/// \brief Keeps ids where lo <= col[id] <= hi.
-Result<RowIdList> RefineU32Range(const RowIdList& in,
-                                 storage::ColumnView<uint32_t> col,
-                                 uint32_t lo, uint32_t hi,
-                                 const QueryConfig& config, OpRecorder* rec,
-                                 const std::string& name);
-
-/// \brief Keeps ids where a[id] < b[id] (e.g. commitdate < receiptdate).
-Result<RowIdList> RefineLess(const RowIdList& in,
-                             storage::ColumnView<uint32_t> a,
-                             storage::ColumnView<uint32_t> b,
-                             const QueryConfig& config, OpRecorder* rec,
-                             const std::string& name);
+/// \brief Keeps the ids of the ascending list `in` that `refine` keeps,
+/// in order: each thread refines one slice of `in`, and the slices are
+/// compacted as the filters' are. `gather_bytes` is the size of the
+/// columns `refine` reads (the profile's random-read working set).
+Result<RowIdList> RefineRows(const RowIdList& in, const SliceRefiner& refine,
+                             size_t gather_bytes, const QueryConfig& config,
+                             OpRecorder* rec, const std::string& name);
 
 // --- Gather / join ------------------------------------------------------------
 
@@ -197,6 +209,15 @@ Result<std::vector<uint64_t>> GroupCountU8ViaFk(
     storage::ColumnView<uint8_t> values, storage::ColumnView<uint32_t> fk,
     const RowIdList& rows, int num_groups, const QueryConfig& config,
     OpRecorder* rec, const std::string& name);
+
+/// \brief The loop of GroupCountU8ViaFk and of the fused
+/// kGroupCountViaFk sink: ++counts[values[fk[id]]] for each of ids[0, n),
+/// in any order. A failed pin, then a code >= num_groups (kInternal),
+/// fails it.
+Status CountGroupsViaFk(storage::ColumnView<uint8_t> values,
+                        storage::ColumnView<uint32_t> fk,
+                        const uint64_t* ids, size_t n, int num_groups,
+                        uint64_t* counts);
 
 /// \brief Per-group count and sum (Q1-style aggregate); the same type
 /// the fused path's gather kernels aggregate into.

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "plan/planner.h"
+#include "scan/scan_kernels.h"
 #include "tpch/tpch_gen.h"
 
 namespace sgxb::tpch {
@@ -60,6 +64,19 @@ TEST_F(OperatorsTest, FilterU32RangeMatchesOracle) {
   }
 }
 
+// Refines `in` by `p` the way the materializing lowering does: RefineRows
+// runs the planner's one predicate evaluator on each thread's slice.
+Result<RowIdList> RefineBy(const plan::Predicate& p, const TpchDbView& view,
+                           const RowIdList& in, const QueryConfig& cfg) {
+  const scan::GatherKernels& g = scan::PickGatherKernels(SimdLevel::kAvx512);
+  return RefineRows(
+      in,
+      [&](const uint64_t* ids, size_t m, uint64_t* out) {
+        return plan::Refine(p, view, g, ids, m, out);
+      },
+      /*gather_bytes=*/0, cfg, nullptr, "r");
+}
+
 TEST_F(OperatorsTest, RefineU8InSetThins) {
   QueryConfig cfg = Config(2);
   auto all = FilterU32Range(Db().lineitem.l_quantity, 1, 50, cfg, nullptr,
@@ -68,8 +85,9 @@ TEST_F(OperatorsTest, RefineU8InSetThins) {
   EXPECT_EQ(all.value().count(), Db().lineitem.num_rows);
 
   uint64_t mask = (uint64_t{1} << kModeMail) | (uint64_t{1} << kModeShip);
-  auto refined = RefineU8InSet(all.value(), Db().lineitem.l_shipmode, mask,
-                               cfg, nullptr, "r");
+  auto refined = RefineBy(plan::Predicate::U8InSet(plan::ColId::kLShipmode,
+                                                   mask),
+                          ViewOf(Db()), all.value(), cfg);
   ASSERT_TRUE(refined.ok());
   uint64_t expected = 0;
   for (size_t i = 0; i < Db().lineitem.num_rows; ++i) {
@@ -77,15 +95,38 @@ TEST_F(OperatorsTest, RefineU8InSetThins) {
     expected += m == kModeMail || m == kModeShip;
   }
   EXPECT_EQ(refined.value().count(), expected);
+
+  // Codes of 64 and above are never in the set: 65, 129 and 193 share
+  // code 1's low six bits, and 64 code 0's.
+  const uint8_t codes[] = {1, 65, 129, 2, 1, 193, 0, 64, 1, 1, 1, 1};
+  const size_t n = sizeof(codes);
+  TpchDbView view;
+  view.lineitem.num_rows = n;
+  view.lineitem.l_shipmode = storage::ColumnView<uint8_t>(codes, n);
+  for (int threads : {1, 3, 4}) {
+    QueryConfig c = Config(threads);
+    auto in = RowIdList::Allocate(n, c);
+    ASSERT_TRUE(in.ok());
+    for (size_t i = 0; i < n; ++i) in.value().ids()[i] = i;
+    in.value().set_count(n);
+    auto kept = RefineBy(
+        plan::Predicate::U8InSet(plan::ColId::kLShipmode, uint64_t{1} << 1),
+        view, in.value(), c);
+    ASSERT_TRUE(kept.ok()) << kept.status().ToString();
+    const std::vector<uint64_t> ids(kept.value().ids(),
+                                    kept.value().ids() + kept.value().count());
+    EXPECT_EQ(ids, (std::vector<uint64_t>{0, 4, 8, 9, 10, 11}))
+        << threads << " threads";
+  }
 }
 
 TEST_F(OperatorsTest, RefineLessMatchesOracle) {
   QueryConfig cfg = Config(1);
   auto all = FilterU32Range(Db().lineitem.l_quantity, 1, 50, cfg, nullptr,
                             "all");
-  auto refined =
-      RefineLess(all.value(), Db().lineitem.l_shipdate,
-                 Db().lineitem.l_commitdate, cfg, nullptr, "r");
+  auto refined = RefineBy(plan::Predicate::Less(plan::ColId::kLShipdate,
+                                                plan::ColId::kLCommitdate),
+                          ViewOf(Db()), all.value(), cfg);
   ASSERT_TRUE(refined.ok());
   uint64_t expected = 0;
   for (size_t i = 0; i < Db().lineitem.num_rows; ++i) {

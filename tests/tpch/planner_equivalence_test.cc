@@ -1,7 +1,7 @@
 // Equivalence and decision tests for the plan compiler (plan/planner.h):
 // every catalog query — including the plan-only ones that never had
-// hand-written drivers — must produce byte-identical results through the
-// materializing and fused lowerings, over resident and paged columns.
+// hand-written drivers — must produce its scalar oracle's result through
+// the materializing and fused lowerings, over resident and paged columns.
 // On top of the matrix: scalar-loop oracles for the plan-only Q5-style
 // queries, ad-hoc plans through RunPlan (two of them not fusable: one
 // probing a join, one with duplicate build keys), data that breaks the
@@ -115,11 +115,52 @@ std::vector<uint64_t> ReferenceQ5G(const TpchDb& db) {
 constexpr int kCatalogQueries[] = {1,   3,   6,   10,  12, 19,
                                    105, 106, 112};  // all catalog numbers
 
+// A catalog query's result by its scalar oracle: the row count and the
+// group counts (Q6: its revenue). Q6's oracle gives no row count.
+struct Expected {
+  std::optional<uint64_t> count;
+  std::vector<uint64_t> group_counts;
+};
+
+Expected OracleOf(int query, const TpchDb& db) {
+  auto grouped = [](std::vector<uint64_t> counts) {
+    uint64_t total = 0;
+    for (uint64_t c : counts) total += c;
+    return Expected{total, std::move(counts)};
+  };
+  switch (query) {
+    case 1:
+      return grouped(ReferenceQ1Counts(db));
+    case 3:
+      return {ReferenceQ3(db), {}};
+    case 6:
+      return {std::nullopt, {ReferenceQ6(db)}};
+    case 10:
+      return {ReferenceQ10(db), {}};
+    case 12:
+      return {ReferenceQ12(db), {}};
+    case 19:
+      return {ReferenceQ19(db), {}};
+    case plan::kQueryQ5Multiway:
+      return {ReferenceQ5M(db), {}};
+    case plan::kQueryQ5Grouped:
+      return grouped(ReferenceQ5G(db));
+    case plan::kQueryQ12Grouped: {
+      const auto [high, low] = ReferenceQ12Grouped(db);
+      return grouped({high, low});
+    }
+  }
+  ADD_FAILURE() << "no oracle for query " << query;
+  return {};
+}
+
 using MatrixParam = std::tuple<int, bool>;
 
 class PlannerEquivalenceTest
     : public ::testing::TestWithParam<MatrixParam> {};
 
+// Both lowerings evaluate predicates with the same kernels, so each is
+// checked against the query's scalar oracle, not only against the other.
 TEST_P(PlannerEquivalenceTest, LoweringsAgree) {
   auto [query, paged] = GetParam();
   PlannerWorld& w = World();
@@ -137,17 +178,20 @@ TEST_P(PlannerEquivalenceTest, LoweringsAgree) {
   auto fused = RunQuery(query, view, cfg);
   ASSERT_TRUE(fused.ok()) << fused.status().ToString();
 
-  // And the default lowering (no pipeline knob) must agree with both
-  // forced modes.
+  // And the default lowering (no pipeline knob).
   cfg.pipeline.reset();
   auto chosen = RunQuery(query, view, cfg);
   ASSERT_TRUE(chosen.ok()) << chosen.status().ToString();
 
-  EXPECT_EQ(fused.value().count, materializing.value().count);
-  EXPECT_EQ(fused.value().group_counts, materializing.value().group_counts);
-  EXPECT_EQ(chosen.value().count, materializing.value().count);
-  EXPECT_EQ(chosen.value().group_counts,
-            materializing.value().group_counts);
+  const Expected want = OracleOf(query, w.db);
+  for (const auto& [r, lowering] :
+       {std::pair{&materializing.value(), "materializing"},
+        std::pair{&fused.value(), "fused"},
+        std::pair{&chosen.value(), "default"}}) {
+    EXPECT_EQ(r->count, want.count.value_or(materializing.value().count))
+        << lowering;
+    EXPECT_EQ(r->group_counts, want.group_counts) << lowering;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
